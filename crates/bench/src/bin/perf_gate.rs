@@ -1,23 +1,24 @@
 //! Host-performance gate over the Fig. 6 workloads.
 //!
 //! Times Heat-1D, Box-2D9P and Box-3D27P end-to-end (fully-optimized
-//! variant) and records wall-clock, stencil throughput, and the heap
-//! allocation ledger per run. Without flags it measures the quick
-//! workloads and enforces the committed `results/BENCH_perf.json`
-//! baseline; `--full` also measures the full Table-4 reduced sizes;
-//! `--update-baseline` rewrites the baseline instead of gating.
+//! variant) and records the fastest wall-clock of `PERF_RUNS` runs, the
+//! stencil throughput it implies, and the heap allocation ledger. Without
+//! flags it measures the quick workloads and enforces the committed
+//! `results/BENCH_perf.json` baseline; `--full` also measures the full
+//! Table-4 reduced sizes; `--update-baseline` rewrites the baseline
+//! instead of gating.
 //!
-//! Thresholds (see `convstencil_bench::perf`): a tight, deterministic
-//! allocation-count gate (`PERF_GATE_MAX_ALLOC_RATIO`, default 1.5) and
-//! a loose wall-clock gate (`PERF_GATE_MIN_RATIO`, default 0.35) that
-//! only catches catastrophic slowdowns on shared CI machines.
+//! Thresholds (see `convstencil_bench::perf`): a deterministic gate on
+//! allocation calls and bytes (`PERF_GATE_MAX_ALLOC_RATIO`, default 1.5)
+//! and a wall-clock gate on the min-of-runs throughput
+//! (`PERF_GATE_MIN_RATIO`, default 0.7).
 
 use convstencil::{ConvStencil1D, ConvStencil2D, ConvStencil3D};
 use convstencil_baselines::ProblemSize;
 use convstencil_bench::alloc_counter::{self, CountingAlloc};
 use convstencil_bench::perf::{
     gate_violations, parse_perf_json, perf_baseline_path, write_perf_json, GateThresholds,
-    PerfRecord,
+    PerfRecord, PERF_RUNS,
 };
 use convstencil_bench::report::{banner, render_table};
 use convstencil_bench::{workload_for, Workload};
@@ -50,7 +51,7 @@ fn run_workload(shape: Shape, size: ProblemSize, steps: usize) {
     }
 }
 
-fn measure(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
+fn measure_once(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
     alloc_counter::reset();
     let start = Instant::now();
     run_workload(shape, w.measure_size, w.measure_steps);
@@ -64,6 +65,23 @@ fn measure(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
         points_per_sec: points / wall_s,
         allocs: stats.calls,
         alloc_bytes: stats.bytes,
+    }
+}
+
+/// The fastest of `PERF_RUNS` runs, with the smallest allocation ledger
+/// seen (the ledger repeats once lazy set-up is done).
+fn measure(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
+    let runs: Vec<PerfRecord> = (0..PERF_RUNS)
+        .map(|_| measure_once(shape, mode, w))
+        .collect();
+    let fastest = runs
+        .iter()
+        .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
+        .expect("PERF_RUNS is positive");
+    PerfRecord {
+        allocs: runs.iter().map(|r| r.allocs).min().unwrap_or(0),
+        alloc_bytes: runs.iter().map(|r| r.alloc_bytes).min().unwrap_or(0),
+        ..fastest.clone()
     }
 }
 
@@ -123,9 +141,10 @@ fn main() {
         }
     };
     let baseline = parse_perf_json(&body);
+    let defaults = GateThresholds::default();
     let thresholds = GateThresholds {
-        min_points_ratio: env_f64("PERF_GATE_MIN_RATIO", 0.35),
-        max_alloc_ratio: env_f64("PERF_GATE_MAX_ALLOC_RATIO", 1.5),
+        min_points_ratio: env_f64("PERF_GATE_MIN_RATIO", defaults.min_points_ratio),
+        max_alloc_ratio: env_f64("PERF_GATE_MAX_ALLOC_RATIO", defaults.max_alloc_ratio),
     };
     let violations = gate_violations(&baseline, &records, &thresholds);
     if violations.is_empty() {

@@ -13,11 +13,12 @@
 //! smaller fused kernel, so any step count is supported exactly.
 
 use crate::error::ConvStencilError;
-use crate::exec1d::{try_run_1d_applications_bc, Exec1D};
-use crate::exec2d::{try_run_2d_applications_bc, Exec2D};
-use crate::exec3d::{try_run_3d_applications_bc, Exec3D};
+use crate::exec1d::{run_1d_applications_owned, Exec1D};
+use crate::exec2d::{run_2d_applications_owned, Exec2D};
+use crate::exec3d::{run_3d_applications_owned, Exec3D};
 use crate::variants::VariantConfig;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::time::Instant;
 use stencil_core::reference::{run1d, run2d, run3d};
 use stencil_core::{
@@ -507,23 +508,24 @@ impl ConvStencil2D {
         grid: &Grid2D,
         steps: usize,
     ) -> Result<Grid2D, ConvStencilError> {
-        let mut current = grid.clone();
         let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
         let fused = if fusion == self.fusion {
-            self.fused.clone()
+            &self.fused
         } else {
-            self.kernel.clone()
+            &self.kernel
         };
         let full_apps = steps / fusion;
         let remainder = steps % fusion;
+        let mut current = None;
         if full_apps > 0 {
-            current = self.try_run_apps(dev, &current, &fused, full_apps)?;
+            current = Some(self.try_run_apps(dev, grid, fused, full_apps)?);
         }
         if remainder > 0 {
             let rem_kernel = fuse2d(&self.kernel, remainder);
-            current = self.try_run_apps(dev, &current, &rem_kernel, 1)?;
+            let input = current.as_ref().unwrap_or(grid);
+            current = Some(self.try_run_apps(dev, input, &rem_kernel, 1)?);
         }
-        Ok(current)
+        Ok(current.unwrap_or_else(|| grid.clone()))
     }
 
     /// CPU ground truth mirroring the device decomposition exactly: the
@@ -536,28 +538,29 @@ impl ConvStencil2D {
         }
         let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
         let fused = if fusion == self.fusion {
-            self.fused.clone()
+            &self.fused
         } else {
-            self.kernel.clone()
+            &self.kernel
         };
         let full_apps = steps / fusion;
         let remainder = steps % fusion;
-        let mut current = grid.clone();
+        let mut current = None;
         if full_apps > 0 {
-            current = self.reference_apps(&current, &fused, full_apps);
+            current = Some(self.reference_apps(grid, fused, full_apps));
         }
         if remainder > 0 {
             let rem_kernel = fuse2d(&self.kernel, remainder);
-            current = self.reference_apps(&current, &rem_kernel, 1);
+            let input = current.as_ref().unwrap_or(grid);
+            current = Some(self.reference_apps(input, &rem_kernel, 1));
         }
-        current
+        current.unwrap_or_else(|| grid.clone())
     }
 
     fn reference_apps(&self, grid: &Grid2D, kernel: &Kernel2D, apps: usize) -> Grid2D {
         let work = if grid.halo() >= kernel.radius() {
-            grid.clone()
+            Cow::Borrowed(grid)
         } else {
-            grid.with_halo(kernel.radius())
+            Cow::Owned(grid.with_halo(kernel.radius()))
         };
         let res = run2d(&work, kernel, apps);
         let mut out = grid.clone();
@@ -581,12 +584,12 @@ impl ConvStencil2D {
             verify_statically(dev, || exec.verify())?;
         }
         let work = if grid.halo() >= kernel.radius() {
-            grid.clone()
+            Cow::Borrowed(grid)
         } else {
-            grid.with_halo(kernel.radius())
+            Cow::Owned(grid.with_halo(kernel.radius()))
         };
         let ext0 = exec.plan.try_build_ext(&work)?;
-        let ext = try_run_2d_applications_bc(dev, &exec, &ext0, apps, self.boundary)?;
+        let ext = run_2d_applications_owned(dev, &exec, ext0, apps, self.boundary)?;
         let mut out = grid.clone();
         exec.plan.extract_into(&ext, &mut out);
         Ok(out)
@@ -864,23 +867,24 @@ impl ConvStencil1D {
         grid: &Grid1D,
         steps: usize,
     ) -> Result<Grid1D, ConvStencilError> {
-        let mut current = grid.clone();
         let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
         let fused = if fusion == self.fusion {
-            self.fused.clone()
+            &self.fused
         } else {
-            self.kernel.clone()
+            &self.kernel
         };
         let full_apps = steps / fusion;
         let remainder = steps % fusion;
+        let mut current = None;
         if full_apps > 0 {
-            current = self.try_run_apps(dev, &current, &fused, full_apps)?;
+            current = Some(self.try_run_apps(dev, grid, fused, full_apps)?);
         }
         if remainder > 0 {
             let rem_kernel = fuse1d(&self.kernel, remainder);
-            current = self.try_run_apps(dev, &current, &rem_kernel, 1)?;
+            let input = current.as_ref().unwrap_or(grid);
+            current = Some(self.try_run_apps(dev, input, &rem_kernel, 1)?);
         }
-        Ok(current)
+        Ok(current.unwrap_or_else(|| grid.clone()))
     }
 
     /// CPU ground truth mirroring the device decomposition (see
@@ -891,28 +895,29 @@ impl ConvStencil1D {
         }
         let fusion = if self.variant.use_tcu { self.fusion } else { 1 };
         let fused = if fusion == self.fusion {
-            self.fused.clone()
+            &self.fused
         } else {
-            self.kernel.clone()
+            &self.kernel
         };
         let full_apps = steps / fusion;
         let remainder = steps % fusion;
-        let mut current = grid.clone();
+        let mut current = None;
         if full_apps > 0 {
-            current = self.reference_apps(&current, &fused, full_apps);
+            current = Some(self.reference_apps(grid, fused, full_apps));
         }
         if remainder > 0 {
             let rem_kernel = fuse1d(&self.kernel, remainder);
-            current = self.reference_apps(&current, &rem_kernel, 1);
+            let input = current.as_ref().unwrap_or(grid);
+            current = Some(self.reference_apps(input, &rem_kernel, 1));
         }
-        current
+        current.unwrap_or_else(|| grid.clone())
     }
 
     fn reference_apps(&self, grid: &Grid1D, kernel: &Kernel1D, apps: usize) -> Grid1D {
         let work = if grid.halo() >= kernel.radius() {
-            grid.clone()
+            Cow::Borrowed(grid)
         } else {
-            grid.with_halo(kernel.radius())
+            Cow::Owned(grid.with_halo(kernel.radius()))
         };
         let res = run1d(&work, kernel, apps);
         let mut out = grid.clone();
@@ -934,12 +939,12 @@ impl ConvStencil1D {
             verify_statically(dev, || exec.verify())?;
         }
         let work = if grid.halo() >= kernel.radius() {
-            grid.clone()
+            Cow::Borrowed(grid)
         } else {
-            grid.with_halo(kernel.radius())
+            Cow::Owned(grid.with_halo(kernel.radius()))
         };
         let ext0 = exec.plan.try_build_ext(&work)?;
-        let ext = try_run_1d_applications_bc(dev, &exec, &ext0, apps, self.boundary)?;
+        let ext = run_1d_applications_owned(dev, &exec, ext0, apps, self.boundary)?;
         let mut out = grid.clone();
         exec.plan.extract_into(&ext, &mut out);
         Ok(out)
@@ -1195,7 +1200,7 @@ impl ConvStencil3D {
             verify_statically(dev, || exec.verify())?;
         }
         let ext0 = exec.try_build_ext(grid)?;
-        let ext = try_run_3d_applications_bc(dev, &exec, &ext0, steps, self.boundary)?;
+        let ext = run_3d_applications_owned(dev, &exec, ext0, steps, self.boundary)?;
         let mut out = grid.clone();
         exec.extract_into(&ext, &mut out);
         Ok(out)

@@ -8,6 +8,7 @@
 
 use crate::error::ConvStencilError;
 use crate::plan::LUT_SKIP;
+use crate::scatter::{AccessLedger, LutScatter};
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::{WeightMatrices, FRAG_K};
@@ -164,6 +165,8 @@ pub struct Exec1D {
     pub weights: WeightMatrices,
     /// `(A shared address, B shared address)` per aligned read lane.
     lut: Vec<[u32; 2]>,
+    /// Shared-store charges of the LUT scatter (one tile row).
+    ledger: AccessLedger,
     /// Non-zero kernel taps for the CUDA-core path.
     taps: Vec<(usize, f64)>,
     /// Input column -> (in_a, group, offset).
@@ -239,11 +242,16 @@ impl Exec1D {
                 colmap.push((false, cb / (nk + 1), cb % (nk + 1)));
             }
         }
+        let ledger = AccessLedger::new(format!(
+            "1D plan n={} n_k={} (1 tile row x {} lanes)",
+            plan.n, plan.nk, plan.span_aligned
+        ));
         Ok(Self {
             plan,
             variant,
             weights,
             lut,
+            ledger,
             taps,
             colmap,
         })
@@ -262,6 +270,7 @@ impl Exec1D {
     /// the static verifier's negative controls (`check --mutate-lut`,
     /// mutation property tests). Kernels never call this.
     pub fn lut_mut(&mut self) -> &mut Vec<[u32; 2]> {
+        self.ledger.clear();
         &mut self.lut
     }
 
@@ -413,50 +422,14 @@ impl Exec1D {
 
     fn scatter(&self, ctx: &mut BlockCtx, ext_in: BufferId, bid: usize) {
         self.declare_exempt(ctx);
-        let p = &self.plan;
-        let read0 = p.read_col0(bid);
-        let mut gaddrs = [INACTIVE; 32];
-        let mut vals = [0.0f64; 32];
-        let mut a_addrs = [0usize; 32];
-        let mut a_vals = [0.0f64; 32];
-        let mut b_addrs = [0usize; 32];
-        let mut b_vals = [0.0f64; 32];
-        let mut i = 0usize;
-        while i < p.span_aligned {
-            let lanes = 32.min(p.span_aligned - i);
-            for (l, a) in gaddrs.iter_mut().enumerate() {
-                *a = if l < lanes { read0 + i + l } else { INACTIVE };
-            }
-            ctx.gmem_read_warp(ext_in, &gaddrs[..lanes], &mut vals[..lanes]);
-            if self.variant.dirty_bits_lut {
-                ctx.count_int(2 * lanes as u64);
-            } else {
-                ctx.count_divmod(2 * lanes as u64);
-                ctx.count_branch(2 * lanes as u64);
-                ctx.count_int(4 * lanes as u64);
-            }
-            let (mut na, mut nb) = (0usize, 0usize);
-            for l in 0..lanes {
-                let [a, b] = self.lut[i + l];
-                if a != LUT_SKIP {
-                    a_addrs[na] = a as usize;
-                    a_vals[na] = vals[l];
-                    na += 1;
-                }
-                if b != LUT_SKIP {
-                    b_addrs[nb] = b as usize;
-                    b_vals[nb] = vals[l];
-                    nb += 1;
-                }
-            }
-            if na > 0 {
-                ctx.smem_store(&a_addrs[..na], &a_vals[..na]);
-            }
-            if nb > 0 {
-                ctx.smem_store(&b_addrs[..nb], &b_vals[..nb]);
-            }
-            i += lanes;
+        let read0 = self.plan.read_col0(bid);
+        LutScatter {
+            lut: &self.lut,
+            lanes: self.plan.span_aligned,
+            lut_mode: self.variant.dirty_bits_lut,
+            ledger: &self.ledger,
         }
+        .run(ctx, ext_in, 1, 0, |_| read0);
     }
 
     fn stage_from_global(&self, ctx: &mut BlockCtx, bufs: (BufferId, BufferId), bid: usize) {
@@ -659,8 +632,22 @@ pub fn try_run_1d_applications_bc(
     apps: usize,
     boundary: stencil_core::Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    let a = dev.alloc_from(ext0);
-    let b = dev.alloc_from(ext0);
+    run_1d_applications_owned(dev, exec, ext0.to_vec(), apps, boundary)
+}
+
+/// [`try_run_1d_applications_bc`] taking ownership of the initial
+/// extended array, which becomes the first ping-pong buffer (one
+/// whole-grid copy fewer for callers that do not keep it).
+pub(crate) fn run_1d_applications_owned(
+    dev: &mut Device,
+    exec: &Exec1D,
+    ext0: Vec<f64>,
+    apps: usize,
+    boundary: stencil_core::Boundary,
+) -> Result<Vec<f64>, ConvStencilError> {
+    let copy = ext0.clone();
+    let a = dev.alloc_vec(ext0);
+    let b = dev.alloc_vec(copy);
     let scratch = exec
         .variant
         .explicit_global

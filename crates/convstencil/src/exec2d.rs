@@ -22,7 +22,8 @@
 //! memory with a separate transform kernel, then computes from them.
 
 use crate::error::ConvStencilError;
-use crate::plan::{Plan2D, ScatterLut, LUT_SKIP};
+use crate::plan::{Plan2D, ScatterLut};
+use crate::scatter::{AccessLedger, LutScatter};
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::WeightMatrices;
@@ -40,6 +41,8 @@ pub struct Exec2D {
     pub variant: VariantConfig,
     pub weights: WeightMatrices,
     lut: ScatterLut,
+    /// Per-tile-row shared-store charges of the LUT scatter.
+    ledger: AccessLedger,
     /// Non-zero kernel points `(kx, ky, w)` for the CUDA-core path.
     points: Vec<(usize, usize, f64)>,
     /// For the CUDA path: input column -> (in_a, group, offset) lookup.
@@ -98,6 +101,14 @@ impl Exec2D {
         }
         let weights = WeightMatrices::from_kernel2d(kernel);
         let lut = plan.build_scatter_lut(variant);
+        let ledger = AccessLedger::new(format!(
+            "2D plan {}x{} n_k={} ({} tile rows x {} lanes)",
+            plan.m,
+            plan.n,
+            plan.nk,
+            plan.block_rows + plan.nk - 1,
+            plan.span_aligned
+        ));
         let nk = plan.nk;
         let mut points = Vec::new();
         for kx in 0..nk {
@@ -125,6 +136,7 @@ impl Exec2D {
             variant,
             weights,
             lut,
+            ledger,
             points,
             colmap,
         })
@@ -144,6 +156,7 @@ impl Exec2D {
     /// the static verifier's negative controls (`check --mutate-lut`,
     /// mutation property tests). Kernels never call this.
     pub fn lut_mut(&mut self) -> &mut ScatterLut {
+        self.ledger.clear();
         &mut self.lut
     }
 
@@ -333,59 +346,15 @@ impl Exec2D {
         self.declare_exempt(ctx, tile_rows);
         let p = &self.plan;
         let read0 = p.read_col0(bg);
-        let lut_mode = self.variant.dirty_bits_lut;
-        let mut gaddrs = [INACTIVE; 32];
-        let mut vals = [0.0f64; 32];
-        let mut a_addrs = [0usize; 32];
-        let mut a_vals = [0.0f64; 32];
-        let mut b_addrs = [0usize; 32];
-        let mut b_vals = [0.0f64; 32];
-        for t in 0..tile_rows {
-            let ext_r = bx * p.block_rows + t;
-            let row_base = ext_r * p.ext_cols + read0;
-            let mut i = 0usize;
-            while i < p.span_aligned {
-                let lanes = 32.min(p.span_aligned - i);
-                for (l, a) in gaddrs.iter_mut().enumerate() {
-                    *a = if l < lanes {
-                        row_base + i + l
-                    } else {
-                        INACTIVE
-                    };
-                }
-                ctx.gmem_read_warp(ext_in, &gaddrs[..lanes], &mut vals[..lanes]);
-                // Addressing cost (§3.4): LUT = one indexed add per side;
-                // otherwise flat->(t,c) div/mod plus validity branches.
-                if lut_mode {
-                    ctx.count_int(2 * lanes as u64);
-                } else {
-                    ctx.count_divmod(2 * lanes as u64);
-                    ctx.count_branch(2 * lanes as u64);
-                    ctx.count_int(4 * lanes as u64);
-                }
-                let (mut na, mut nb) = (0usize, 0usize);
-                for l in 0..lanes {
-                    let [a, b] = self.lut.get(t, i + l);
-                    if a != LUT_SKIP {
-                        a_addrs[na] = a as usize;
-                        a_vals[na] = vals[l];
-                        na += 1;
-                    }
-                    if b != LUT_SKIP {
-                        b_addrs[nb] = b as usize;
-                        b_vals[nb] = vals[l];
-                        nb += 1;
-                    }
-                }
-                if na > 0 {
-                    ctx.smem_store(&a_addrs[..na], &a_vals[..na]);
-                }
-                if nb > 0 {
-                    ctx.smem_store(&b_addrs[..nb], &b_vals[..nb]);
-                }
-                i += lanes;
-            }
+        LutScatter {
+            lut: self.lut.entries(),
+            lanes: p.span_aligned,
+            lut_mode: self.variant.dirty_bits_lut,
+            ledger: &self.ledger,
         }
+        .run(ctx, ext_in, tile_rows, 0, |t| {
+            (bx * p.block_rows + t) * p.ext_cols + read0
+        });
     }
 
     /// Explicit-variant staging: copy the block's tile rows of the global
@@ -675,8 +644,22 @@ pub fn try_run_2d_applications_bc(
     apps: usize,
     boundary: stencil_core::Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    let a = dev.alloc_from(ext0);
-    let b = dev.alloc_from(ext0);
+    run_2d_applications_owned(dev, exec, ext0.to_vec(), apps, boundary)
+}
+
+/// [`try_run_2d_applications_bc`] taking ownership of the initial
+/// extended array, which becomes the first ping-pong buffer (one
+/// whole-grid copy fewer for callers that do not keep it).
+pub(crate) fn run_2d_applications_owned(
+    dev: &mut Device,
+    exec: &Exec2D,
+    ext0: Vec<f64>,
+    apps: usize,
+    boundary: stencil_core::Boundary,
+) -> Result<Vec<f64>, ConvStencilError> {
+    let copy = ext0.clone();
+    let a = dev.alloc_vec(ext0);
+    let b = dev.alloc_vec(copy);
     let scratch = exec
         .variant
         .explicit_global

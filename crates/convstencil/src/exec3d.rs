@@ -13,7 +13,8 @@
 //! dense center plane goes through dual tessellation.
 
 use crate::error::ConvStencilError;
-use crate::plan::{Plan2D, ScatterLut, LUT_SKIP};
+use crate::plan::{Plan2D, ScatterLut};
+use crate::scatter::{AccessLedger, LutScatter};
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::WeightMatrices;
@@ -42,6 +43,8 @@ pub struct Exec3D {
     pub radius: usize,
     planes: Vec<PlaneKind>,
     lut: ScatterLut,
+    /// Per-tile-row shared-store charges of the LUT scatter (any slot).
+    ledger: AccessLedger,
     /// Output planes per block (z-sliding window; each block stages
     /// `bz + n_k - 1` input-plane tile pairs and reuses them across its
     /// `bz` output planes, so global reads stay ~1x instead of n_k x).
@@ -160,6 +163,15 @@ impl Exec3D {
             };
             colmap.push(entry);
         }
+        let ledger = AccessLedger::new(format!(
+            "3D plane plan {}x{}x{} n_k={} ({} tile rows x {} lanes)",
+            d,
+            plane_plan.m,
+            plane_plan.n,
+            nk,
+            plane_plan.block_rows + nk - 1,
+            plane_plan.span_aligned
+        ));
         Ok(Self {
             plane_plan,
             variant,
@@ -168,6 +180,7 @@ impl Exec3D {
             radius,
             planes,
             lut,
+            ledger,
             bz,
             slot_off,
             weight_off,
@@ -190,6 +203,7 @@ impl Exec3D {
     /// the static verifier's negative controls (`check --mutate-lut`,
     /// mutation property tests). Kernels never call this.
     pub fn lut_mut(&mut self) -> &mut ScatterLut {
+        self.ledger.clear();
         &mut self.lut
     }
 
@@ -511,55 +525,15 @@ impl Exec3D {
         self.declare_plane_exempt(ctx, base_off, tile_rows);
         let p = &self.plane_plan;
         let read0 = p.read_col0(bg);
-        let mut gaddrs = [INACTIVE; 32];
-        let mut vals = [0.0f64; 32];
-        let mut a_addrs = [0usize; 32];
-        let mut a_vals = [0.0f64; 32];
-        let mut b_addrs = [0usize; 32];
-        let mut b_vals = [0.0f64; 32];
-        for t in 0..tile_rows {
-            let row_base = plane_base + (bx * p.block_rows + t) * p.ext_cols + read0;
-            let mut i = 0usize;
-            while i < p.span_aligned {
-                let lanes = 32.min(p.span_aligned - i);
-                for (l, a) in gaddrs.iter_mut().enumerate() {
-                    *a = if l < lanes {
-                        row_base + i + l
-                    } else {
-                        INACTIVE
-                    };
-                }
-                ctx.gmem_read_warp(ext_in, &gaddrs[..lanes], &mut vals[..lanes]);
-                if self.variant.dirty_bits_lut {
-                    ctx.count_int(2 * lanes as u64);
-                } else {
-                    ctx.count_divmod(2 * lanes as u64);
-                    ctx.count_branch(2 * lanes as u64);
-                    ctx.count_int(4 * lanes as u64);
-                }
-                let (mut na, mut nb) = (0usize, 0usize);
-                for l in 0..lanes {
-                    let [a, b] = self.lut.get(t, i + l);
-                    if a != LUT_SKIP {
-                        a_addrs[na] = base_off + a as usize;
-                        a_vals[na] = vals[l];
-                        na += 1;
-                    }
-                    if b != LUT_SKIP {
-                        b_addrs[nb] = base_off + b as usize;
-                        b_vals[nb] = vals[l];
-                        nb += 1;
-                    }
-                }
-                if na > 0 {
-                    ctx.smem_store(&a_addrs[..na], &a_vals[..na]);
-                }
-                if nb > 0 {
-                    ctx.smem_store(&b_addrs[..nb], &b_vals[..nb]);
-                }
-                i += lanes;
-            }
+        LutScatter {
+            lut: self.lut.entries(),
+            lanes: p.span_aligned,
+            lut_mode: self.variant.dirty_bits_lut,
+            ledger: &self.ledger,
         }
+        .run(ctx, ext_in, tile_rows, base_off, |t| {
+            plane_base + (bx * p.block_rows + t) * p.ext_cols + read0
+        });
     }
 
     fn stage_weights(
@@ -793,8 +767,22 @@ pub fn try_run_3d_applications_bc(
     apps: usize,
     boundary: stencil_core::Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    let a = dev.alloc_from(ext0);
-    let b = dev.alloc_from(ext0);
+    run_3d_applications_owned(dev, exec, ext0.to_vec(), apps, boundary)
+}
+
+/// [`try_run_3d_applications_bc`] taking ownership of the initial
+/// extended array, which becomes the first ping-pong buffer (one
+/// whole-grid copy fewer for callers that do not keep it).
+pub(crate) fn run_3d_applications_owned(
+    dev: &mut Device,
+    exec: &Exec3D,
+    ext0: Vec<f64>,
+    apps: usize,
+    boundary: stencil_core::Boundary,
+) -> Result<Vec<f64>, ConvStencilError> {
+    let copy = ext0.clone();
+    let a = dev.alloc_vec(ext0);
+    let b = dev.alloc_vec(copy);
     let scratch = exec
         .variant
         .explicit_global

@@ -28,6 +28,7 @@ pub mod model;
 pub mod numerics;
 pub mod plan;
 pub mod profile;
+mod scatter;
 pub mod stencil2row;
 pub mod tessellation;
 pub mod variants;

@@ -404,6 +404,11 @@ impl ScatterLut {
         self.entries[t * self.span_aligned + i]
     }
 
+    /// Every entry, row-major (`span_aligned` lanes per tile row).
+    pub(crate) fn entries(&self) -> &[[u32; 2]] {
+        &self.entries
+    }
+
     /// Overwrite the entry for tile row `t`, lane `i`.
     ///
     /// Diagnostic hook for the static verifier's negative controls (the

@@ -17,7 +17,7 @@ use crate::counters::Counters;
 use crate::error::DeviceError;
 use crate::fault::{self, FaultPlan, FaultState};
 use crate::fragment::{dmma, hmma, FragA, FragAcc, FragB, Tile16};
-use crate::global::{BufferId, GlobalMemory, INACTIVE};
+use crate::global::{contiguous_prefix, BufferId, GlobalMemory, INACTIVE};
 use crate::sanitize::{SanitizerReport, ShadowState};
 use crate::shared::SharedMemory;
 use crate::trace::{Phase, Span, Trace};
@@ -78,8 +78,12 @@ struct BlockScratch {
     shared: Vec<f64>,
     written: Vec<bool>,
     exempt: Vec<bool>,
-    marks: Vec<(Phase, Counters)>,
+    marks: Vec<PhaseMark>,
 }
+
+/// One tracing phase switch: the new phase, the block's ledger at the
+/// switch, and the host clock at the switch.
+type PhaseMark = (Phase, Counters, Instant);
 
 /// Free lists of per-block scratch reused across blocks and launches.
 /// Mutexed for the parallel block loop; each block takes one lock on
@@ -118,9 +122,9 @@ impl ScratchPool {
 struct BlockOutcome {
     counters: Counters,
     writes: WriteLog,
-    /// Per-phase counter deltas (indexed by [`Phase::index`]); populated
-    /// only when tracing is enabled.
-    phases: Option<[Counters; PHASE_COUNT]>,
+    /// Per-phase counter deltas and measured host nanoseconds (indexed by
+    /// [`Phase::index`]); populated only when tracing is enabled.
+    phases: Option<([Counters; PHASE_COUNT], [u64; PHASE_COUNT])>,
     /// Sanitizer findings; populated only when sanitizing is enabled.
     sanitizer: Option<SanitizerReport>,
 }
@@ -202,6 +206,13 @@ impl Device {
     /// Allocate a global buffer initialised from host data.
     pub fn alloc_from(&mut self, data: &[f64]) -> BufferId {
         self.global.alloc_from(data)
+    }
+
+    /// Allocate a global buffer that takes ownership of host data — the
+    /// zero-copy alternative to [`Device::alloc_from`] for data the host
+    /// no longer needs.
+    pub fn alloc_vec(&mut self, data: Vec<f64>) -> BufferId {
+        self.global.alloc_vec(data)
     }
 
     /// Simulated device-to-host copy.
@@ -536,6 +547,8 @@ impl Device {
                     phase_marks: tracing.then(|| {
                         let mut marks = std::mem::take(&mut scratch.marks);
                         marks.clear();
+                        // The block starts in Uncategorized.
+                        marks.push((Phase::Uncategorized, Counters::default(), Instant::now()));
                         marks
                     }),
                     shadow: sanitize.then(|| {
@@ -559,23 +572,23 @@ impl Device {
                     ..
                 } = ctx;
                 let phases = phase_marks.map(|marks| {
-                    // Fold the switch log into per-phase deltas. Work
-                    // before the first explicit switch is Uncategorized;
-                    // counters are monotone, so the deltas sum exactly to
-                    // the block's final ledger.
+                    // Fold the switch log into per-phase deltas and host
+                    // time. Work before the first explicit switch is
+                    // Uncategorized; counters are monotone, so the deltas
+                    // sum exactly to the block's final ledger.
+                    let end = (Phase::Uncategorized, counters, Instant::now());
                     let mut per = [Counters::default(); PHASE_COUNT];
-                    let mut prev_phase = Phase::Uncategorized;
-                    let mut prev_snap = Counters::default();
-                    for &(phase, snap) in &marks {
-                        per[prev_phase.index()] += snap.saturating_sub(&prev_snap);
-                        prev_phase = phase;
-                        prev_snap = snap;
+                    let mut wall = [0u64; PHASE_COUNT];
+                    for (&(phase, snap, at), &(_, next_snap, next_at)) in
+                        marks.iter().zip(marks.iter().skip(1).chain([&end]))
+                    {
+                        per[phase.index()] += next_snap.saturating_sub(&snap);
+                        wall[phase.index()] += (next_at - at).as_nanos() as u64;
                     }
-                    per[prev_phase.index()] += counters.saturating_sub(&prev_snap);
                     if pooling {
                         scratch.marks = marks;
                     }
-                    per
+                    (per, wall)
                 });
                 let sanitizer = shadow.map(|shadow| {
                     let (report, written, exempt) = shadow.into_parts();
@@ -635,36 +648,40 @@ impl Device {
 
         if let Some(t0) = wall_start {
             let mut per = [Counters::default(); PHASE_COUNT];
-            for outcome in &outcomes {
-                if let Some(phases) = &outcome.phases {
-                    for (acc, delta) in per.iter_mut().zip(phases) {
-                        *acc += *delta;
-                    }
+            let mut wall = [0u64; PHASE_COUNT];
+            for (counters, ns) in outcomes.iter().filter_map(|o| o.phases.as_ref()) {
+                for i in 0..PHASE_COUNT {
+                    per[i] += counters[i];
+                    wall[i] += ns[i];
                 }
             }
+            let launch_ns = t0.elapsed().as_nanos() as u64;
             let model = CostModel::new(self.config.clone());
-            let modeled: Vec<f64> = per.iter().map(|c| model.span_time(c)).collect();
-            let active: Vec<usize> = (0..PHASE_COUNT)
-                .filter(|&i| per[i] != Counters::default())
-                .collect();
-            let wall_ns = t0.elapsed().as_nanos() as u64;
-            let modeled_total: f64 = active.iter().map(|&i| modeled[i]).sum();
-            for &i in &active {
-                // Launch wall time split proportionally to modelled time
-                // (equal split when the model charges nothing).
-                let share = if modeled_total > 0.0 {
-                    (wall_ns as f64 * modeled[i] / modeled_total) as u64
-                } else {
-                    wall_ns / active.len() as u64
-                };
+            let uncategorized = Phase::Uncategorized.index();
+            let mut measured = 0u64;
+            for i in (0..PHASE_COUNT).filter(|&i| i != uncategorized) {
+                if per[i] == Counters::default() {
+                    continue;
+                }
+                measured += wall[i];
                 self.trace.push(Span {
                     phase: Phase::ALL[i],
                     launch: attempt,
                     counters: per[i],
-                    modeled_sec: modeled[i],
-                    wall_ns: share,
+                    modeled_sec: model.span_time(&per[i]),
+                    wall_ns: wall[i],
                 });
             }
+            // Every traced launch ends with an Uncategorized span: its work
+            // outside any phase mark, and the launch time no phase span
+            // measured (block set-up, write retirement, bookkeeping).
+            self.trace.push(Span {
+                phase: Phase::Uncategorized,
+                launch: attempt,
+                counters: per[uncategorized],
+                modeled_sec: model.span_time(&per[uncategorized]),
+                wall_ns: launch_ns.saturating_sub(measured),
+            });
         }
         if self.pooling {
             for outcome in outcomes {
@@ -703,9 +720,9 @@ pub struct BlockCtx<'a> {
     writes: WriteLog,
     /// Per-block fault stream (None when no plan is installed).
     fault: Option<FaultState>,
-    /// Phase-switch log `(new phase, ledger snapshot at switch)`; `None`
-    /// when tracing is off, so untraced runs pay no per-switch cost.
-    phase_marks: Option<Vec<(Phase, Counters)>>,
+    /// Phase-switch log, starting with the block's own start; `None`
+    /// when tracing is off, so untraced runs take no timestamps.
+    phase_marks: Option<Vec<PhaseMark>>,
     /// Sanitizer shadow of this block's shared memory; `None` when
     /// sanitizing is off, so the default path allocates nothing.
     shadow: Option<ShadowState>,
@@ -759,9 +776,9 @@ impl BlockCtx<'_> {
         if let Some(marks) = &mut self.phase_marks {
             prev = marks
                 .last()
-                .map(|(p, _)| *p)
+                .map(|&(p, ..)| p)
                 .unwrap_or(Phase::Uncategorized);
-            marks.push((phase, self.counters));
+            marks.push((phase, self.counters, Instant::now()));
         }
         // The sanitizer tracks the active phase too (it localizes findings
         // even when tracing is off).
@@ -772,6 +789,35 @@ impl BlockCtx<'_> {
             shadow.set_phase(phase);
         }
         prev
+    }
+
+    /// Whether the sanitizer shadows this block's shared memory.
+    pub fn sanitizing(&self) -> bool {
+        self.shadow.is_some()
+    }
+
+    /// Whether individual shared-memory accesses of this block are
+    /// observed: checked by the sanitizer or exposed to a fault plan's
+    /// per-store corruption draws. A kernel that charges a precomputed
+    /// access ledger ([`BlockCtx::charge_shared_writes`]) must issue real
+    /// [`BlockCtx::smem_store`] calls whenever this is true.
+    pub fn observes_accesses(&self) -> bool {
+        self.shadow.is_some() || self.fault.is_some()
+    }
+
+    /// Charge shared-memory stores a kernel wrote directly through
+    /// `shared.raw_mut()`, with requests, replays and bytes it computed
+    /// ahead of time from the same address pattern [`BlockCtx::smem_store`]
+    /// would have seen. Panics if accesses are observed, since the
+    /// sanitizer and the fault stream never saw those stores.
+    pub fn charge_shared_writes(&mut self, requests: u64, conflicts: u64, bytes: u64) {
+        assert!(
+            !self.observes_accesses(),
+            "precomputed shared-store charges used while accesses are observed"
+        );
+        self.counters.shared_write_requests += requests;
+        self.counters.shared_write_conflicts += conflicts;
+        self.counters.shared_write_bytes += bytes;
     }
 
     /// Declare a shared-memory range as legitimately read-before-write for
@@ -842,25 +888,13 @@ impl BlockCtx<'_> {
         if safe_len < want {
             out[safe_len..].fill(0.0);
         }
-        let len = safe_len;
-        let mut addrs = [INACTIVE; 32];
-        let mut lane_out = [0.0f64; 32];
-        let mut i = 0;
-        while i < len {
-            let n = (len - i).min(32);
-            for l in 0..32 {
-                addrs[l] = if l < n { start + i + l } else { INACTIVE };
-            }
-            self.global.read_warp(
-                &mut self.counters,
-                buf,
-                &addrs,
-                self.config.f64_per_sector(),
-                &mut lane_out,
-            );
-            out[i..i + n].copy_from_slice(&lane_out[..n]);
-            i += n;
-        }
+        self.global.read_span(
+            &mut self.counters,
+            buf,
+            start,
+            self.config.f64_per_sector(),
+            &mut out[..safe_len],
+        );
     }
 
     /// Warp-level global write of `vals` to `addrs` (same lane count).
@@ -884,8 +918,21 @@ impl BlockCtx<'_> {
                 .collect::<Vec<usize>>();
             &masked
         };
+        let sector_f64 = self.config.f64_per_sector();
+        if let Some((start, len)) = contiguous_prefix(addrs) {
+            // One run followed only by masked lanes (a row tail): charge it
+            // arithmetically and buffer it as a single run.
+            self.global
+                .account_write_contiguous(&mut self.counters, start, len, sector_f64);
+            if len == 1 {
+                self.writes.scatter.push((buf, start, vals[0]));
+            } else {
+                self.writes.push_run(buf, start, &vals[..len]);
+            }
+            return;
+        }
         self.global
-            .account_write(&mut self.counters, addrs, self.config.f64_per_sector());
+            .account_write(&mut self.counters, addrs, sector_f64);
         // Compact consecutive addresses into runs; lone elements go to the
         // scatter list to avoid a vector allocation per lane.
         let mut i = 0;
@@ -917,16 +964,13 @@ impl BlockCtx<'_> {
             None => vals.len(),
         };
         let vals = &vals[..safe_len];
-        let mut addrs = [INACTIVE; 32];
         let mut i = 0;
         while i < vals.len() {
             let n = (vals.len() - i).min(32);
-            for l in 0..32 {
-                addrs[l] = if l < n { start + i + l } else { INACTIVE };
-            }
-            self.global.account_write(
+            self.global.account_write_contiguous(
                 &mut self.counters,
-                &addrs[..n],
+                start + i,
+                n,
                 self.config.f64_per_sector(),
             );
             i += n;

@@ -35,7 +35,12 @@ impl GlobalMemory {
 
     /// Allocate and fill from a slice.
     pub fn alloc_from(&mut self, data: &[f64]) -> BufferId {
-        self.buffers.push(data.to_vec());
+        self.alloc_vec(data.to_vec())
+    }
+
+    /// Allocate a buffer that takes ownership of `data` (no copy).
+    pub fn alloc_vec(&mut self, data: Vec<f64>) -> BufferId {
+        self.buffers.push(data);
         BufferId(self.buffers.len() - 1)
     }
 
@@ -61,40 +66,12 @@ impl GlobalMemory {
         self.buffers[id.0].len()
     }
 
-    /// Account one warp request against `counters`. `addrs` are f64 element
-    /// indices with `INACTIVE` marking masked lanes. Returns
-    /// `(active_lanes, sectors, min_sectors)`.
-    fn account(
-        counters: &mut Counters,
-        addrs: &[usize],
-        sector_f64: usize,
-        is_read: bool,
-    ) -> (u64, u64, u64) {
-        debug_assert!(addrs.len() <= 32, "a warp has at most 32 lanes");
-        // A warp is at most 32 lanes, so the sector set fits a stack
-        // array — this path runs once per global request and must not
-        // allocate.
-        let mut sectors = [0usize; 32];
-        let mut n = 0usize;
-        for &a in addrs {
-            if a != INACTIVE {
-                sectors[n] = a / sector_f64;
-                n += 1;
-            }
-        }
-        let active = n as u64;
+    /// Charge one warp request's sector footprint to `counters`.
+    fn charge(counters: &mut Counters, footprint: (u64, u64, u64), is_read: bool) {
+        let (active, n_sectors, min_sectors) = footprint;
         if active == 0 {
-            return (0, 0, 0);
+            return;
         }
-        let sectors = &mut sectors[..n];
-        sectors.sort_unstable();
-        let mut n_sectors = 1u64;
-        for i in 1..sectors.len() {
-            if sectors[i] != sectors[i - 1] {
-                n_sectors += 1;
-            }
-        }
-        let min_sectors = active.div_ceil(sector_f64 as u64);
         let bytes = 8 * active;
         if is_read {
             counters.global_read_requests += 1;
@@ -115,7 +92,37 @@ impl GlobalMemory {
         if n_sectors >= 2 * min_sectors && n_sectors > min_sectors {
             counters.uncoalesced_requests += 1;
         }
-        (active, n_sectors, min_sectors)
+    }
+
+    /// Account one warp request against `counters`. `addrs` are f64 element
+    /// indices with `INACTIVE` marking masked lanes.
+    fn account(counters: &mut Counters, addrs: &[usize], sector_f64: usize, is_read: bool) {
+        Self::charge(counters, scattered_sectors(addrs, sector_f64), is_read);
+    }
+
+    /// Warp-sized reads of the span `[start, start + out.len())`: one
+    /// request per 32 lanes, each charged arithmetically, then one slice
+    /// copy. Charges exactly what [`GlobalMemory::read_warp`] charges for
+    /// the same 32-lane chunks.
+    pub(crate) fn read_span(
+        &self,
+        counters: &mut Counters,
+        id: BufferId,
+        start: usize,
+        sector_f64: usize,
+        out: &mut [f64],
+    ) {
+        let mut i = 0;
+        while i < out.len() {
+            let lanes = (out.len() - i).min(32);
+            Self::charge(
+                counters,
+                contiguous_sectors(start + i, lanes, sector_f64),
+                true,
+            );
+            i += lanes;
+        }
+        out.copy_from_slice(&self.buffers[id.0][start..start + out.len()]);
     }
 
     /// Warp-level read. Inactive lanes (address `INACTIVE`) produce 0.0.
@@ -167,6 +174,82 @@ impl GlobalMemory {
     ) {
         Self::account(counters, addrs, sector_f64, false);
     }
+
+    /// [`GlobalMemory::account_write`] for `lanes` consecutive elements
+    /// from `start`.
+    pub(crate) fn account_write_contiguous(
+        &self,
+        counters: &mut Counters,
+        start: usize,
+        lanes: usize,
+        sector_f64: usize,
+    ) {
+        Self::charge(
+            counters,
+            contiguous_sectors(start, lanes, sector_f64),
+            false,
+        );
+    }
+}
+
+/// Sector footprint `(active lanes, sectors, minimum sectors)` of one warp
+/// request, by sorting the active lanes' sector ids. Works for any lane
+/// pattern; [`INACTIVE`] lanes are skipped.
+pub fn scattered_sectors(addrs: &[usize], sector_f64: usize) -> (u64, u64, u64) {
+    debug_assert!(addrs.len() <= 32, "a warp has at most 32 lanes");
+    // A warp is at most 32 lanes, so the sector set fits a stack array —
+    // this path runs once per global request and must not allocate.
+    let mut sectors = [0usize; 32];
+    let mut n = 0usize;
+    for &a in addrs {
+        if a != INACTIVE {
+            sectors[n] = a / sector_f64;
+            n += 1;
+        }
+    }
+    if n == 0 {
+        return (0, 0, 0);
+    }
+    let sectors = &mut sectors[..n];
+    sectors.sort_unstable();
+    let mut n_sectors = 1u64;
+    for i in 1..sectors.len() {
+        if sectors[i] != sectors[i - 1] {
+            n_sectors += 1;
+        }
+    }
+    let active = n as u64;
+    (active, n_sectors, active.div_ceil(sector_f64 as u64))
+}
+
+/// [`scattered_sectors`] of the request `start, start + 1, …,
+/// start + lanes - 1`, computed from its first and last sector: a
+/// contiguous run touches every sector between them and no other.
+pub fn contiguous_sectors(start: usize, lanes: usize, sector_f64: usize) -> (u64, u64, u64) {
+    if lanes == 0 {
+        return (0, 0, 0);
+    }
+    let n_sectors = ((start + lanes - 1) / sector_f64 - start / sector_f64 + 1) as u64;
+    let active = lanes as u64;
+    (active, n_sectors, active.div_ceil(sector_f64 as u64))
+}
+
+/// If the active lanes of `addrs` are one consecutive run starting at
+/// lane 0 and every later lane is [`INACTIVE`], the run's `(start, len)`.
+pub fn contiguous_prefix(addrs: &[usize]) -> Option<(usize, usize)> {
+    let (&start, rest) = addrs.split_first()?;
+    if start == INACTIVE {
+        return None;
+    }
+    let len = 1 + rest
+        .iter()
+        .enumerate()
+        .take_while(|&(l, &a)| start.checked_add(l + 1) == Some(a))
+        .count();
+    addrs[len..]
+        .iter()
+        .all(|&a| a == INACTIVE)
+        .then_some((start, len))
 }
 
 #[cfg(test)]
@@ -247,6 +330,33 @@ mod tests {
         // count as an uncoalesced access.
         assert_eq!(c.uncoalesced_requests, 0);
         assert!(c.global_read_inflation() > 1.1);
+    }
+
+    #[test]
+    fn contiguous_prefix_accepts_only_one_leading_run() {
+        assert_eq!(contiguous_prefix(&[5, 6, 7]), Some((5, 3)));
+        assert_eq!(contiguous_prefix(&[5, 6, INACTIVE, INACTIVE]), Some((5, 2)));
+        assert_eq!(contiguous_prefix(&[9]), Some((9, 1)));
+        assert_eq!(contiguous_prefix(&[5, 6, INACTIVE, 8]), None);
+        assert_eq!(contiguous_prefix(&[INACTIVE, 6, 7]), None);
+        assert_eq!(contiguous_prefix(&[5, 7]), None);
+        assert_eq!(contiguous_prefix(&[]), None);
+    }
+
+    #[test]
+    fn contiguous_sectors_match_the_sorted_count() {
+        for sector in [2, 4, 8] {
+            for start in 0..20 {
+                for lanes in 1..=32 {
+                    let addrs: Vec<usize> = (start..start + lanes).collect();
+                    assert_eq!(
+                        contiguous_sectors(start, lanes, sector),
+                        scattered_sectors(&addrs, sector),
+                        "start {start} lanes {lanes} sector {sector}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -56,7 +56,9 @@ pub use device::{BlockCtx, Device};
 pub use error::DeviceError;
 pub use fault::{EccBurst, FaultPlan, HangSpec};
 pub use fragment::{dmma, hmma, FragA, FragAcc, FragB, Tile16};
-pub use global::{BufferId, GlobalMemory, INACTIVE};
+pub use global::{
+    contiguous_prefix, contiguous_sectors, scattered_sectors, BufferId, GlobalMemory, INACTIVE,
+};
 pub use sanitize::{FaultSite, SanitizerReport, ShadowState, Violation, ViolationKind};
-pub use shared::{conflict_free_pad, stride_is_conflict_free, SharedMemory};
+pub use shared::{access_charge, conflict_free_pad, stride_is_conflict_free, SharedMemory};
 pub use trace::{Phase, Span, Trace};

@@ -83,68 +83,14 @@ impl SharedMemory {
     /// Each f64 at element address `a` occupies 32-bit words `2a` and
     /// `2a + 1`; word `w` lives in bank `w % banks`.
     pub fn phase_conflict_degree(&self, phase: &[usize]) -> u32 {
-        if phase.is_empty() {
-            return 1;
-        }
-        // Distinct-address filter: broadcasts don't conflict. Lane counts
-        // are tiny (<=16) so a linear scan beats hashing. Phases and bank
-        // counts fit fixed arrays on real configurations, keeping this
-        // hot path allocation-free; oversized inputs take a general path.
-        if phase.len() <= F64_PHASE_LANES && self.banks <= MAX_FAST_BANKS {
-            let mut distinct = [0usize; F64_PHASE_LANES];
-            let mut nd = 0usize;
-            for &a in phase {
-                if !distinct[..nd].contains(&a) {
-                    distinct[nd] = a;
-                    nd += 1;
-                }
-            }
-            let mut per_bank = [0u32; MAX_FAST_BANKS];
-            for &a in &distinct[..nd] {
-                for w in [2 * a, 2 * a + 1] {
-                    per_bank[w % self.banks] += 1;
-                }
-            }
-            return per_bank[..self.banks]
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(1)
-                .max(1);
-        }
-        let mut distinct: Vec<usize> = Vec::with_capacity(phase.len());
-        for &a in phase {
-            if !distinct.contains(&a) {
-                distinct.push(a);
-            }
-        }
-        let mut per_bank = vec![0u32; self.banks];
-        for &a in &distinct {
-            for w in [2 * a, 2 * a + 1] {
-                per_bank[w % self.banks] += 1;
-            }
-        }
-        per_bank.iter().copied().max().unwrap_or(1).max(1)
-    }
-
-    /// Account one f64 access pattern (any number of lanes), split into
-    /// 16-lane phases. Returns the number of phases ("requests") and the
-    /// total extra replays charged.
-    fn account(&self, addrs: &[usize]) -> (u64, u64) {
-        let mut requests = 0u64;
-        let mut replays = 0u64;
-        for phase in addrs.chunks(F64_PHASE_LANES) {
-            requests += 1;
-            replays += (self.phase_conflict_degree(phase) - 1) as u64;
-        }
-        (requests, replays)
+        conflict_degree(phase, self.banks)
     }
 
     /// Warp-level load: reads `addrs` (f64 element indices) into `out`,
     /// charging requests/bytes/conflicts to `counters`.
     pub fn load(&self, counters: &mut Counters, addrs: &[usize], out: &mut [f64]) {
         assert_eq!(addrs.len(), out.len());
-        let (requests, replays) = self.account(addrs);
+        let (requests, replays) = access_charge(addrs, self.banks);
         counters.shared_read_requests += requests;
         counters.shared_read_conflicts += replays;
         counters.shared_read_bytes += 8 * addrs.len() as u64;
@@ -163,7 +109,7 @@ impl SharedMemory {
     /// element of a warp dumps into the same padding slot.
     pub fn store(&mut self, counters: &mut Counters, addrs: &[usize], vals: &[f64]) {
         assert_eq!(addrs.len(), vals.len());
-        let (requests, replays) = self.account(addrs);
+        let (requests, replays) = access_charge(addrs, self.banks);
         counters.shared_write_requests += requests;
         counters.shared_write_conflicts += replays;
         counters.shared_write_bytes += 8 * addrs.len() as u64;
@@ -171,6 +117,61 @@ impl SharedMemory {
             self.data[a] = v;
         }
     }
+}
+
+/// [`SharedMemory::phase_conflict_degree`] on `banks` 4-byte banks.
+fn conflict_degree(phase: &[usize], banks: usize) -> u32 {
+    if phase.is_empty() {
+        return 1;
+    }
+    // Distinct-address filter: broadcasts don't conflict. Lane counts
+    // are tiny (<=16) so a linear scan beats hashing. Phases and bank
+    // counts fit fixed arrays on real configurations, keeping this
+    // hot path allocation-free; oversized inputs take a general path.
+    if phase.len() <= F64_PHASE_LANES && banks <= MAX_FAST_BANKS {
+        let mut distinct = [0usize; F64_PHASE_LANES];
+        let mut nd = 0usize;
+        for &a in phase {
+            if !distinct[..nd].contains(&a) {
+                distinct[nd] = a;
+                nd += 1;
+            }
+        }
+        let mut per_bank = [0u32; MAX_FAST_BANKS];
+        for &a in &distinct[..nd] {
+            for w in [2 * a, 2 * a + 1] {
+                per_bank[w % banks] += 1;
+            }
+        }
+        return per_bank[..banks].iter().copied().max().unwrap_or(1).max(1);
+    }
+    let mut distinct: Vec<usize> = Vec::with_capacity(phase.len());
+    for &a in phase {
+        if !distinct.contains(&a) {
+            distinct.push(a);
+        }
+    }
+    let mut per_bank = vec![0u32; banks];
+    for &a in &distinct {
+        for w in [2 * a, 2 * a + 1] {
+            per_bank[w % banks] += 1;
+        }
+    }
+    per_bank.iter().copied().max().unwrap_or(1).max(1)
+}
+
+/// `(requests, replays)` one warp-level f64 access to `addrs` costs on
+/// `banks` banks: one request per 16-lane phase, and `degree - 1` replays
+/// per phase. [`SharedMemory::load`] and [`SharedMemory::store`] charge
+/// exactly this; kernels with a fixed address pattern can precompute it.
+pub fn access_charge(addrs: &[usize], banks: usize) -> (u64, u64) {
+    let mut requests = 0u64;
+    let mut replays = 0u64;
+    for phase in addrs.chunks(F64_PHASE_LANES) {
+        requests += 1;
+        replays += (conflict_degree(phase, banks) - 1) as u64;
+    }
+    (requests, replays)
 }
 
 /// Smallest per-row padding (in f64 elements) that makes strided 8x4 f64

@@ -4,7 +4,10 @@
 //! decomposed into **spans** — one per execution phase the kernel passed
 //! through (see [`Phase`]) — each carrying the exact [`Counters`] delta
 //! attributed to that phase, the modelled core time of that delta (from
-//! [`crate::CostModel`]), and a host wall-clock share of the launch.
+//! [`crate::CostModel`]), and the host wall-clock measured inside that
+//! phase (each block timestamps its phase switches; the launch's
+//! [`Phase::Uncategorized`] span also holds the time no phase measured,
+//! such as block set-up and write retirement).
 //!
 //! Attribution is exact by construction: a block records a ledger snapshot
 //! at every phase switch, deltas between snapshots are summed per phase
@@ -108,9 +111,10 @@ pub struct Span {
     /// launch overhead or wave quantization; see
     /// [`crate::CostModel::span_time`]). Zero for host-only spans.
     pub modeled_sec: f64,
-    /// Host wall-clock attributed to the span, in nanoseconds. Device
-    /// spans split their launch's wall time proportionally to modelled
-    /// time; host spans measure their own scope.
+    /// Host wall-clock of the span, in nanoseconds. Device spans sum the
+    /// time every block spent between its switches into and out of the
+    /// phase; a launch's Uncategorized span holds the rest of the launch.
+    /// Host spans measure their own scope.
     pub wall_ns: u64,
 }
 

@@ -7,13 +7,18 @@
 //! dimensionality, and through verified-retry execution with injected
 //! faults, where host-side Verify/Retry spans carry zero counters and
 //! aborted launches contribute a `launch_fault` span.
+//!
+//! Span `wall_ns` is measured: each block timestamps its phase switches,
+//! and a launch's phase spans never hold more time than the launch took.
 
+use convstencil_repro::convstencil::exec2d::{run_2d_applications, Exec2D};
 use convstencil_repro::convstencil::profile::Profile;
 use convstencil_repro::convstencil::{
-    ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport, VerifyConfig,
+    ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport, VariantConfig, VerifyConfig,
 };
 use convstencil_repro::stencil_core::{Grid1D, Grid2D, Grid3D, Shape};
-use convstencil_repro::tcu_sim::{FaultPlan, Phase, Trace};
+use convstencil_repro::tcu_sim::{Device, FaultPlan, Phase, Trace};
+use std::time::{Duration, Instant};
 
 fn assert_spans_sum_to_ledger(report: &RunReport) -> Trace {
     let trace = report.trace.clone().expect("tracing was enabled");
@@ -165,4 +170,72 @@ fn profile_total_row_is_the_run_ledger() {
     assert_eq!(per_phase_dmma, report.counters.dmma_ops);
     let table = profile.render_table();
     assert!(table.lines().last().unwrap().starts_with("total"));
+}
+
+#[test]
+fn phase_wall_time_is_measured_and_bounded_by_the_launch() {
+    let mut dev = Device::a100();
+    dev.set_tracing(true);
+    let blocks = 3;
+    let nap = Duration::from_millis(2);
+    let start = Instant::now();
+    dev.launch(blocks, 64, |_, ctx| {
+        // A phase the cost model charges heavily but that takes no host
+        // time, then a cheap-to-model phase that does.
+        ctx.phase(Phase::SmemScatter);
+        ctx.count_divmod(1 << 30);
+        ctx.phase(Phase::Tessellation);
+        ctx.count_fma(1);
+        std::thread::sleep(nap);
+    });
+    let launch_ns = start.elapsed().as_nanos() as u64;
+    let trace = dev.take_trace();
+    let wall = |phase: Phase| -> u64 {
+        trace
+            .spans
+            .iter()
+            .filter(|s| s.phase == phase)
+            .map(|s| s.wall_ns)
+            .sum()
+    };
+    // Measured, not split by modeled time: the sleeping phase holds at
+    // least its sleep, the modeled-heavy phase almost nothing.
+    assert!(wall(Phase::Tessellation) >= blocks as u64 * nap.as_nanos() as u64);
+    assert!(wall(Phase::SmemScatter) < wall(Phase::Tessellation));
+    let spans_ns = trace.total_wall_ns();
+    assert!(
+        spans_ns <= launch_ns,
+        "phase spans hold {spans_ns} ns of a {launch_ns} ns launch"
+    );
+    assert_eq!(trace.total_counters(), dev.counters);
+}
+
+#[test]
+fn traced_run_phase_time_is_at_most_its_wall_time() {
+    let mut g = Grid2D::new(128, 128, 3);
+    g.fill_random(19);
+    let cs = ConvStencil2D::new(Shape::Box2D9P.kernel2d().unwrap()).with_tracing(true);
+    let start = Instant::now();
+    let (_, report) = cs.run(&g, 6);
+    let run_ns = start.elapsed().as_nanos() as u64;
+    let trace = assert_spans_sum_to_ledger(&report);
+    let spans_ns = trace.total_wall_ns();
+    assert!(spans_ns > 0);
+    assert!(
+        spans_ns <= run_ns,
+        "phase spans hold {spans_ns} ns of a {run_ns} ns run"
+    );
+}
+
+#[test]
+fn untraced_device_records_no_spans() {
+    let kernel = Shape::Box2D9P.kernel2d().unwrap();
+    let mut g = Grid2D::new(64, 64, kernel.radius());
+    g.fill_random(23);
+    let exec = Exec2D::new(&kernel, 64, 64, VariantConfig::conv_stencil());
+    let mut dev = Device::a100();
+    let ext0 = exec.plan.build_ext(&g);
+    run_2d_applications(&mut dev, &exec, &ext0, 2);
+    assert!(dev.counters.dmma_ops > 0);
+    assert!(dev.trace().is_empty());
 }
