@@ -30,8 +30,8 @@ impl StencilSystem for ConvStencilSystem {
         match (shape.kernel(), size) {
             (AnyKernel::D1(k), ProblemSize::D1(n)) => {
                 let g = make_grid1d(n, k.radius(), seed);
-                let cs = ConvStencil1D::new(k);
-                let (out, report) = cs.run(&g, steps);
+                let cs = ConvStencil1D::try_new(k).expect("shipped kernels plan");
+                let (out, report) = cs.try_run(&g, steps).expect("the simulated run succeeds");
                 Some(SystemResult {
                     output: out.interior(),
                     report,
@@ -39,8 +39,8 @@ impl StencilSystem for ConvStencilSystem {
             }
             (AnyKernel::D2(k), ProblemSize::D2(m, n)) => {
                 let g = make_grid2d(m, n, k.radius(), seed);
-                let cs = ConvStencil2D::new(k);
-                let (out, report) = cs.run(&g, steps);
+                let cs = ConvStencil2D::try_new(k).expect("shipped kernels plan");
+                let (out, report) = cs.try_run(&g, steps).expect("the simulated run succeeds");
                 Some(SystemResult {
                     output: out.interior(),
                     report,
@@ -48,8 +48,8 @@ impl StencilSystem for ConvStencilSystem {
             }
             (AnyKernel::D3(k), ProblemSize::D3(d, m, n)) => {
                 let g = make_grid3d(d, m, n, k.radius(), seed);
-                let cs = ConvStencil3D::new(k);
-                let (out, report) = cs.run(&g, steps);
+                let cs = ConvStencil3D::try_new(k).expect("shipped kernels plan");
+                let (out, report) = cs.try_run(&g, steps).expect("the simulated run succeeds");
                 Some(SystemResult {
                     output: out.interior(),
                     report,

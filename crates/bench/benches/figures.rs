@@ -19,8 +19,10 @@ fn bench_fig6_variants(c: &mut Criterion) {
     for (name, variant) in VariantConfig::breakdown() {
         let label = name.split(':').next().unwrap().trim().to_string();
         group.bench_function(BenchmarkId::new("box2d9p_128", label), |b| {
-            let cs = ConvStencil2D::new(kernel.clone()).with_variant(variant);
-            b.iter(|| cs.run(black_box(&grid), 3))
+            let cs = ConvStencil2D::try_new(kernel.clone())
+                .unwrap()
+                .with_variant(variant);
+            b.iter(|| cs.try_run(black_box(&grid), 3).unwrap())
         });
     }
     group.finish();
@@ -64,8 +66,8 @@ fn bench_table3_and_model(c: &mut Criterion) {
         let kernel = Shape::Heat1D.kernel1d().unwrap();
         let mut grid = Grid1D::new(1 << 15, 3);
         grid.fill_random(2);
-        let cs = ConvStencil1D::new(kernel);
-        b.iter(|| cs.run(black_box(&grid), 3))
+        let cs = ConvStencil1D::try_new(kernel).unwrap();
+        b.iter(|| cs.try_run(black_box(&grid), 3).unwrap())
     });
     group.finish();
 }

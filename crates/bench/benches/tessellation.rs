@@ -2,13 +2,13 @@
 //! device pipeline (one fused application), plus the naive reference for
 //! scale.
 
-use convstencil::exec2d::{run_2d_applications, Exec2D};
+use convstencil::exec2d::{try_run_2d_applications_bc, Exec2D};
 use convstencil::stencil2row::build_2d;
 use convstencil::tessellation::host_convstencil_2d;
 use convstencil::{VariantConfig, WeightMatrices};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use stencil_core::{fill_pseudorandom, reference, Grid2D, Kernel2D};
+use stencil_core::{fill_pseudorandom, reference, Boundary, Grid2D, Kernel2D};
 use tcu_sim::Device;
 
 fn bench_host_tessellation(c: &mut Criterion) {
@@ -29,11 +29,12 @@ fn bench_simulated_pipeline(c: &mut Criterion) {
     let mut grid = Grid2D::new(m, n, 3);
     grid.fill_random(3);
     let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
-    let ext0 = exec.plan.build_ext(&grid);
+    let ext0 = exec.plan.try_build_ext(&grid).unwrap();
     c.bench_function("simulated_convstencil_app_128x256", |b| {
         b.iter(|| {
             let mut dev = Device::a100();
-            run_2d_applications(&mut dev, black_box(&exec), &ext0, 1)
+            try_run_2d_applications_bc(&mut dev, black_box(&exec), &ext0, 1, Boundary::Dirichlet)
+                .unwrap()
         })
     });
     c.bench_function("naive_reference_step_128x256", |b| {

@@ -14,9 +14,11 @@ fn main() {
     let k = Shape::Box2D9P.kernel2d().unwrap();
     let mut g = Grid2D::new(1024, 1024, k.radius());
     g.fill_random(7);
-    let cs = ConvStencil2D::new(k).with_tracing(true);
+    let cs = ConvStencil2D::try_new(k)
+        .expect("shipped kernels plan")
+        .with_tracing(true);
     let start = std::time::Instant::now();
-    let (_, report) = cs.run(&g, 6);
+    let (_, report) = cs.try_run(&g, 6).expect("the simulated run succeeds");
     println!("total wall: {:.1} ms", start.elapsed().as_secs_f64() * 1e3);
     let trace = report.trace.expect("tracing was enabled");
     let mut by_phase: BTreeMap<String, u64> = BTreeMap::new();

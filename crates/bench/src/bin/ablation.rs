@@ -8,13 +8,13 @@
 //!    plane-per-block decomposition, which re-reads each input plane
 //!    n_k times) vs the full window.
 
-use convstencil::exec2d::{run_2d_applications, Exec2D};
-use convstencil::exec3d::{run_3d_applications, Exec3D};
+use convstencil::exec2d::{try_run_2d_applications_bc, Exec2D};
+use convstencil::exec3d::{try_run_3d_applications_bc, Exec3D};
 use convstencil::plan::Plan2D;
 use convstencil::{ConvStencil2D, VariantConfig};
 use convstencil_bench::report::{banner, render_table};
 use convstencil_bench::{project_report, quick_mode};
-use stencil_core::{Grid2D, Grid3D, Shape};
+use stencil_core::{Boundary, Grid2D, Grid3D, Shape};
 use tcu_sim::{CostModel, Device, DeviceConfig};
 
 fn main() {
@@ -32,11 +32,13 @@ fn main() {
     ]];
     for t in 1..=3usize {
         let kernel = Shape::Heat2D.kernel2d().unwrap();
-        let cs = ConvStencil2D::with_fusion(kernel, t);
+        let cs = ConvStencil2D::try_with_fusion(kernel, t).expect("shipped kernels plan");
         let mut grid = Grid2D::new(size, size, 3);
         grid.fill_random(1);
         let steps = 6; // divisible by 1, 2, 3
-        let (_, report) = cs.run(&grid, steps);
+        let (_, report) = cs
+            .try_run(&grid, steps)
+            .expect("the simulated run succeeds");
         let proj = project_report(&report, &cfg, 10_240 * 10_240, 10_240);
         rows.push(vec![
             t.to_string(),
@@ -78,8 +80,12 @@ fn main() {
         let mut dev = Device::a100();
         let mut grid = Grid2D::new(size, size, 3);
         grid.fill_random(2);
-        let ext0 = exec.plan.build_ext(&grid);
-        run_2d_applications(&mut dev, &exec, &ext0, 1);
+        let ext0 = exec
+            .plan
+            .try_build_ext(&grid)
+            .expect("the grid halo covers the radius");
+        try_run_2d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet)
+            .expect("the simulated run succeeds");
         let model = CostModel::new(cfg.clone());
         // Project to the paper geometry.
         let scale = (10_240.0f64 * 10_240.0) / (size * size) as f64;
@@ -120,8 +126,11 @@ fn main() {
         let mut dev = Device::a100();
         let mut grid = Grid3D::new(d, mn, mn, 1);
         grid.fill_random(3);
-        let ext0 = exec.build_ext(&grid);
-        run_3d_applications(&mut dev, &exec, &ext0, 1);
+        let ext0 = exec
+            .try_build_ext(&grid)
+            .expect("the grid halo covers the radius");
+        try_run_3d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet)
+            .expect("the simulated run succeeds");
         let points = (d * mn * mn) as u64;
         let model = CostModel::new(cfg.clone());
         let scale = (1024.0f64.powi(3)) / points as f64;

@@ -19,19 +19,34 @@ fn run_variant(shape: Shape, size: ProblemSize, steps: usize, variant: VariantCo
             let k = shape.kernel1d().unwrap();
             let mut g = Grid1D::new(n, k.radius());
             g.fill_random(7);
-            ConvStencil1D::new(k).with_variant(variant).run(&g, steps).1
+            ConvStencil1D::try_new(k)
+                .expect("shipped kernels plan")
+                .with_variant(variant)
+                .try_run(&g, steps)
+                .expect("the simulated run succeeds")
+                .1
         }
         (2, ProblemSize::D2(m, n)) => {
             let k = shape.kernel2d().unwrap();
             let mut g = Grid2D::new(m, n, k.radius());
             g.fill_random(7);
-            ConvStencil2D::new(k).with_variant(variant).run(&g, steps).1
+            ConvStencil2D::try_new(k)
+                .expect("shipped kernels plan")
+                .with_variant(variant)
+                .try_run(&g, steps)
+                .expect("the simulated run succeeds")
+                .1
         }
         (3, ProblemSize::D3(d, m, n)) => {
             let k = shape.kernel3d().unwrap();
             let mut g = Grid3D::new(d, m, n, k.radius());
             g.fill_random(7);
-            ConvStencil3D::new(k).with_variant(variant).run(&g, steps).1
+            ConvStencil3D::try_new(k)
+                .expect("shipped kernels plan")
+                .with_variant(variant)
+                .try_run(&g, steps)
+                .expect("the simulated run succeeds")
+                .1
         }
         _ => unreachable!(),
     }

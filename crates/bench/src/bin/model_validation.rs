@@ -29,11 +29,15 @@ fn main() {
         Shape::Box2D49P,
     ] {
         let k = shape.kernel2d().unwrap();
-        let cs = ConvStencil2D::new(k).with_variant(VariantConfig::conv_stencil());
+        let cs = ConvStencil2D::try_new(k)
+            .expect("shipped kernels plan")
+            .with_variant(VariantConfig::conv_stencil());
         let nk = cs.fused_kernel().nk();
         let mut grid = Grid2D::new(m, n, cs.fused_kernel().radius());
         grid.fill_random(1);
-        let (_, report) = cs.run(&grid, cs.fusion());
+        let (_, report) = cs
+            .try_run(&grid, cs.fusion())
+            .expect("the simulated run succeeds");
         let predicted = model::convstencil_mma_count(m, n, nk);
         rows.push(vec![
             shape.name().to_string(),

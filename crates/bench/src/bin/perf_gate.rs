@@ -34,19 +34,28 @@ fn run_workload(shape: Shape, size: ProblemSize, steps: usize) {
             let k = shape.kernel1d().unwrap();
             let mut g = Grid1D::new(n, k.radius());
             g.fill_random(7);
-            let _ = ConvStencil1D::new(k).run(&g, steps);
+            let _ = ConvStencil1D::try_new(k)
+                .expect("shipped kernels plan")
+                .try_run(&g, steps)
+                .expect("the simulated run succeeds");
         }
         ProblemSize::D2(m, n) => {
             let k = shape.kernel2d().unwrap();
             let mut g = Grid2D::new(m, n, k.radius());
             g.fill_random(7);
-            let _ = ConvStencil2D::new(k).run(&g, steps);
+            let _ = ConvStencil2D::try_new(k)
+                .expect("shipped kernels plan")
+                .try_run(&g, steps)
+                .expect("the simulated run succeeds");
         }
         ProblemSize::D3(d, m, n) => {
             let k = shape.kernel3d().unwrap();
             let mut g = Grid3D::new(d, m, n, k.radius());
             g.fill_random(7);
-            let _ = ConvStencil3D::new(k).run(&g, steps);
+            let _ = ConvStencil3D::try_new(k)
+                .expect("shipped kernels plan")
+                .try_run(&g, steps)
+                .expect("the simulated run succeeds");
         }
     }
 }

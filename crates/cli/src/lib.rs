@@ -19,14 +19,11 @@
 //! GStencil/s. Time is the *modelled* device time of the full problem
 //! (this is a simulator; see DESIGN.md).
 
-use convstencil::{
-    ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError, Exec1D, Exec2D, Exec3D, Profile,
-    RunReport, VariantConfig,
-};
+use convstencil::{ConvStencil, ConvStencilError, Profile, RunReport, Stencil, VariantConfig};
 pub mod runtime_cmd;
 pub use runtime_cmd::{main_resume, main_run, EXIT_ARTIFACT_READ};
 use std::path::PathBuf;
-use stencil_core::{Grid1D, Grid2D, Grid3D, Kernel1D, Kernel2D, Kernel3D, Shape};
+use stencil_core::{fill_pseudorandom, HaloGrid, Kernel1D, Kernel2D, Kernel3D, Shape};
 use tcu_sim::{CostModel, DeviceConfig, LaunchStats, Trace};
 
 /// Parsed command line.
@@ -68,21 +65,7 @@ pub fn parse_args(dim: usize, argv: &[String]) -> Result<CliArgs, String> {
     if argv.len() < dim + 1 + usize::from(!check) {
         return Err(usage(dim));
     }
-    let shape = Shape::from_cli_name(&argv[0])
-        .ok_or_else(|| format!("unknown shape '{}'\n{}", argv[0], usage(dim)))?;
-    if shape.dim() != dim {
-        return Err(format!(
-            "shape {} is {}-dimensional; this binary is convstencil_{}d\n{}",
-            argv[0],
-            shape.dim(),
-            dim,
-            usage(dim)
-        ));
-    }
-    let mut sizes = Vec::with_capacity(dim);
-    for a in &argv[1..1 + dim] {
-        sizes.push(a.parse::<usize>().map_err(|_| usage(dim))?);
-    }
+    let (shape, sizes) = parse_problem(dim, argv, &usage(dim))?;
     let (steps, opts_start) = if argv.len() > dim + 1 && !argv[dim + 1].starts_with("--") {
         (
             argv[dim + 1].parse::<usize>().map_err(|_| usage(dim))?,
@@ -117,24 +100,8 @@ pub fn parse_args(dim: usize, argv: &[String]) -> Result<CliArgs, String> {
                 i += 1;
             }
             "--custom" => {
-                let need = match dim {
-                    1 => shape.nk(),
-                    2 => shape.nk() * shape.nk(),
-                    _ => shape.nk() * shape.nk() * shape.nk(),
-                };
-                let vals: Result<Vec<f64>, _> = argv[i + 1..]
-                    .iter()
-                    .take(need)
-                    .map(|a| a.parse::<f64>())
-                    .collect();
-                let vals = vals.map_err(|_| "invalid --custom weights".to_string())?;
-                if vals.len() != need {
-                    return Err(format!(
-                        "--custom needs {need} weights for {}",
-                        shape.name()
-                    ));
-                }
-                i += need;
+                let vals = parse_custom(&argv[i + 1..], shape)?;
+                i += vals.len();
                 custom_weights = Some(vals);
             }
             other => return Err(format!("unknown option '{other}'\n{}", usage(dim))),
@@ -156,16 +123,57 @@ pub fn parse_args(dim: usize, argv: &[String]) -> Result<CliArgs, String> {
     })
 }
 
+/// The `<shape> <sizes...>` prefix shared by every command of a
+/// `dim`-dimensional binary; errors carry `usage`.
+fn parse_problem(dim: usize, argv: &[String], usage: &str) -> Result<(Shape, Vec<usize>), String> {
+    let shape = Shape::from_cli_name(&argv[0])
+        .ok_or_else(|| format!("unknown shape '{}'\n{usage}", argv[0]))?;
+    if shape.dim() != dim {
+        return Err(format!(
+            "shape {} is {}-dimensional; this binary is convstencil_{dim}d\n{usage}",
+            argv[0],
+            shape.dim(),
+        ));
+    }
+    let sizes = argv[1..1 + dim]
+        .iter()
+        .map(|a| a.parse::<usize>().map_err(|_| usage.to_string()))
+        .collect::<Result<_, _>>()?;
+    Ok((shape, sizes))
+}
+
+/// The `--custom` weights following the flag: one per point of the
+/// shape's dense `n_k^dim` support.
+fn parse_custom(argv: &[String], shape: Shape) -> Result<Vec<f64>, String> {
+    let need = shape.nk().pow(shape.dim() as u32);
+    let vals: Vec<f64> = argv
+        .iter()
+        .take(need)
+        .map(|a| a.parse::<f64>())
+        .collect::<Result<_, _>>()
+        .map_err(|_| "invalid --custom weights".to_string())?;
+    if vals.len() != need {
+        return Err(format!(
+            "--custom needs {need} weights for {}",
+            shape.name()
+        ));
+    }
+    Ok(vals)
+}
+
+/// Axis names of a `dim`-dimensional problem, outermost first.
+fn axes(dim: usize) -> &'static [&'static str] {
+    &["d", "m", "n"][3 - dim..]
+}
+
 /// Usage text per dimensionality.
 pub fn usage(dim: usize) -> String {
-    let (shapes, sizes) = match dim {
-        1 => ("1d1r | 1d2r", "n"),
-        2 => (
-            "star2d1r | box2d1r | star2d2r | box2d2r | star2d3r | box2d3r",
-            "m n",
-        ),
-        _ => ("star3d1r | box3d1r", "d m n"),
+    let shapes = match dim {
+        1 => "1d1r | 1d2r",
+        2 => "star2d1r | box2d1r | star2d2r | box2d2r | star2d3r | box2d3r",
+        _ => "star3d1r | box3d1r",
     };
+    let sizes = axes(dim).join(" ");
     format!(
         "usage: convstencil_{dim}d <shape> <{sizes}> <time_iteration_size> [options]\n\
          \x20      convstencil_{dim}d check <shape> <{sizes}> [time_iteration_size] [options]\n\
@@ -180,10 +188,40 @@ pub fn usage(dim: usize) -> String {
     )
 }
 
-/// Cap oversized grids for simulation; the report is projected back to the
-/// requested problem (same per-point event rates, exact step count).
-fn cap(requested: usize, cap_to: usize) -> usize {
-    requested.min(cap_to)
+/// The kernel a command asks for: the custom weights if given, else the
+/// shape's own.
+fn kernel_for<K: Stencil>(shape: Shape, custom: Option<&[f64]>) -> Result<K, ConvStencilError> {
+    match custom {
+        Some(w) => Ok(K::from_weights(shape.radius(), w.to_vec())),
+        None => K::from_shape(shape).ok_or_else(|| ConvStencilError::InvalidKernel {
+            reason: format!("shape {} has no {}D kernel", shape.name(), K::DIM),
+        }),
+    }
+}
+
+/// The runner and the seeded grid of one command: `sizes` capped per axis
+/// at `caps`, halo equal to the base kernel's radius. Shared by the
+/// one-shot and `run` commands.
+fn problem<K: Stencil>(
+    shape: Shape,
+    custom: Option<&[f64]>,
+    sizes: &[usize],
+    caps: &[usize],
+) -> Result<(ConvStencil<K>, K::Grid), ConvStencilError> {
+    let kernel = kernel_for::<K>(shape, custom)?;
+    let dims: Vec<usize> = sizes.iter().zip(caps).map(|(&s, &c)| s.min(c)).collect();
+    let mut grid = K::Grid::zeros(&dims, kernel.radius());
+    fill_pseudorandom(grid.padded_mut(), 42);
+    Ok((ConvStencil::try_new(kernel)?, grid))
+}
+
+/// The variants a command runs: the Fig. 6 breakdown or ConvStencil alone.
+fn variants(breakdown: bool) -> Vec<(&'static str, VariantConfig)> {
+    if breakdown {
+        VariantConfig::breakdown().to_vec()
+    } else {
+        vec![("ConvStencil", VariantConfig::conv_stencil())]
+    }
 }
 
 fn project_gstencils(
@@ -209,117 +247,62 @@ fn project_gstencils(
     (total, g)
 }
 
-/// [`try_run_and_print`] that panics on pipeline errors (kept for callers
-/// that predate the typed error surface).
-pub fn run_and_print(args: &CliArgs) -> f64 {
-    try_run_and_print(args).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Run one configuration and print the artifact-format output. Returns
-/// the modelled GStencils/s, or a typed error for any pipeline failure
-/// (bad kernel, zero-sized grid, device fault, ...).
-pub fn try_run_and_print(args: &CliArgs) -> Result<f64, ConvStencilError> {
-    try_run_and_print_checked(args).map(|(g, _)| g)
+/// the modelled GStencils/s and whether the sanitizer (when requested
+/// with `--sanitize`) came back clean, so binaries can exit nonzero on
+/// findings; or a typed error for any pipeline failure (bad kernel,
+/// zero-sized grid, device fault, ...).
+///
+/// Oversized grids are capped for simulation (`--quick` caps harder);
+/// the report is projected back to the requested problem (same
+/// per-point event rates, exact step count).
+pub fn try_run_and_print_checked(args: &CliArgs) -> Result<(f64, bool), ConvStencilError> {
+    let side = |quick: usize, full: usize| if args.quick { quick } else { full };
+    match args.shape.dim() {
+        1 => one_shot::<Kernel1D>(args, &[side(1 << 26, 1 << 29)]),
+        2 => one_shot::<Kernel2D>(args, &[side(512, 2048); 2]),
+        _ => one_shot::<Kernel3D>(args, &[side(32, 64), side(128, 256), side(128, 256)]),
+    }
 }
 
-/// [`try_run_and_print`] that also reports whether the sanitizer (when
-/// requested with `--sanitize`) came back clean, so binaries can exit
-/// nonzero on findings. Always `true` when the sanitizer is off.
-pub fn try_run_and_print_checked(args: &CliArgs) -> Result<(f64, bool), ConvStencilError> {
+fn one_shot<K: Stencil>(args: &CliArgs, caps: &[usize]) -> Result<(f64, bool), ConvStencilError> {
     let cfg = DeviceConfig::a100();
-    let dim = args.shape.dim();
-    let max_side: usize = match (dim, args.quick) {
-        (1, true) => 1 << 20,
-        (1, false) => 1 << 23,
-        (2, true) => 512,
-        (2, false) => 2048,
-        (_, true) => 128,
-        (_, false) => 256,
-    };
     let steps_sim = args.steps.clamp(1, 6);
-    let variants: Vec<(&str, VariantConfig)> = if args.breakdown {
-        VariantConfig::breakdown().to_vec()
-    } else {
-        vec![("ConvStencil", VariantConfig::conv_stencil())]
-    };
+    let extent: Vec<String> = axes(args.sizes.len())
+        .iter()
+        .zip(&args.sizes)
+        .map(|(axis, size)| format!("{axis} = {size}"))
+        .collect();
     println!(
         "INFO: shape = {}, {}, times = {}",
         args.shape.cli_name(),
-        match dim {
-            1 => format!("n = {}", args.sizes[0]),
-            2 => format!("m = {}, n = {}", args.sizes[0], args.sizes[1]),
-            _ => format!(
-                "d = {}, m = {}, n = {}",
-                args.sizes[0], args.sizes[1], args.sizes[2]
-            ),
-        },
+        extent.join(", "),
         args.steps
     );
+    let (runner, grid) = problem::<K>(
+        args.shape,
+        args.custom_weights.as_deref(),
+        &args.sizes,
+        caps,
+    )?;
     let points: u64 = args.sizes.iter().map(|&s| s as u64).product();
     let tracing = args.profile || args.trace.is_some();
     let mut merged_trace = Trace::new();
     let mut last = 0.0;
     let mut sanitize_clean = true;
-    for (name, variant) in variants {
-        let missing_kernel = || ConvStencilError::InvalidKernel {
-            reason: format!("shape {} has no {dim}D kernel", args.shape.name()),
-        };
-        let report = match dim {
-            1 => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel1D::new(w.clone()),
-                    None => args.shape.kernel1d().ok_or_else(missing_kernel)?,
-                };
-                let n = cap(args.sizes[0], max_side * 64);
-                let mut g = Grid1D::new(n, kernel.radius());
-                g.fill_random(42);
-                ConvStencil1D::try_new(kernel)?
-                    .with_variant(variant)
-                    .with_tracing(tracing)
-                    .with_sanitizer(args.sanitize)
-                    .try_run(&g, steps_sim)?
-                    .1
-            }
-            2 => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel2D::new(args.shape.radius(), w.clone()),
-                    None => args.shape.kernel2d().ok_or_else(missing_kernel)?,
-                };
-                let (m, n) = (cap(args.sizes[0], max_side), cap(args.sizes[1], max_side));
-                let mut g = Grid2D::new(m, n, kernel.radius());
-                g.fill_random(42);
-                ConvStencil2D::try_new(kernel)?
-                    .with_variant(variant)
-                    .with_tracing(tracing)
-                    .with_sanitizer(args.sanitize)
-                    .try_run(&g, steps_sim)?
-                    .1
-            }
-            _ => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel3D::new(args.shape.radius(), w.clone()),
-                    None => args.shape.kernel3d().ok_or_else(missing_kernel)?,
-                };
-                let (d, m, n) = (
-                    cap(args.sizes[0], max_side / 4),
-                    cap(args.sizes[1], max_side),
-                    cap(args.sizes[2], max_side),
-                );
-                let mut g = Grid3D::new(d, m, n, kernel.radius());
-                g.fill_random(42);
-                ConvStencil3D::try_new(kernel)?
-                    .with_variant(variant)
-                    .with_tracing(tracing)
-                    .with_sanitizer(args.sanitize)
-                    .try_run(&g, steps_sim)?
-                    .1
-            }
-        };
+    for (name, variant) in variants(args.breakdown) {
+        let report = runner
+            .clone()
+            .with_variant(variant)
+            .with_tracing(tracing)
+            .with_sanitizer(args.sanitize)
+            .try_run(&grid, steps_sim)?
+            .1;
         let (time, gstencils) = project_gstencils(&report, &cfg, points, args.steps as u64);
         if args.breakdown {
             println!("{name}:");
         } else {
-            println!("ConvStencil({dim}D):");
+            println!("ConvStencil({}D):", K::DIM);
         }
         println!("Time = {:.0}[ms]", time * 1e3);
         println!("GStencil/s = {gstencils:.6}");
@@ -375,59 +358,27 @@ pub fn try_run_and_print_checked(args: &CliArgs) -> Result<(f64, bool), ConvSten
 /// exit nonzero). With `--mutate-lut` one lookup-table entry is
 /// corrupted first — the negative control demonstrating rejection.
 pub fn try_run_check(args: &CliArgs) -> Result<bool, ConvStencilError> {
-    let dim = args.shape.dim();
-    let variants: Vec<(&str, VariantConfig)> = if args.breakdown {
-        VariantConfig::breakdown().to_vec()
-    } else {
-        vec![("ConvStencil", VariantConfig::conv_stencil())]
-    };
-    let missing_kernel = || ConvStencilError::InvalidKernel {
-        reason: format!("shape {} has no {dim}D kernel", args.shape.name()),
-    };
+    match args.shape.dim() {
+        1 => check::<Kernel1D>(args, |exec| exec.lut_mut()[0] = [1, 1]),
+        2 => check::<Kernel2D>(args, |exec| exec.lut_mut().set(0, 0, [1, 1])),
+        _ => check::<Kernel3D>(args, |exec| exec.lut_mut().set(0, 0, [1, 1])),
+    }
+}
+
+/// [`try_run_check`] for one dimension; `mutate_lut` corrupts one
+/// lookup-table entry of that dimension's executor.
+fn check<K: Stencil>(
+    args: &CliArgs,
+    mutate_lut: impl Fn(&mut K::Exec),
+) -> Result<bool, ConvStencilError> {
+    let kernel = kernel_for::<K>(args.shape, args.custom_weights.as_deref())?;
     let mut all_ok = true;
-    for (name, variant) in variants {
-        let result = match dim {
-            1 => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel1D::new(w.clone()),
-                    None => args.shape.kernel1d().ok_or_else(missing_kernel)?,
-                };
-                let mut exec = Exec1D::try_new(&kernel, args.sizes[0], variant)?;
-                if args.mutate_lut {
-                    exec.lut_mut()[0] = [1, 1];
-                }
-                exec.verify()
-            }
-            2 => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel2D::new(args.shape.radius(), w.clone()),
-                    None => args.shape.kernel2d().ok_or_else(missing_kernel)?,
-                };
-                let mut exec = Exec2D::try_new(&kernel, args.sizes[0], args.sizes[1], variant)?;
-                if args.mutate_lut {
-                    exec.lut_mut().set(0, 0, [1, 1]);
-                }
-                exec.verify()
-            }
-            _ => {
-                let kernel = match &args.custom_weights {
-                    Some(w) => Kernel3D::new(args.shape.radius(), w.clone()),
-                    None => args.shape.kernel3d().ok_or_else(missing_kernel)?,
-                };
-                let mut exec = Exec3D::try_new(
-                    &kernel,
-                    args.sizes[0],
-                    args.sizes[1],
-                    args.sizes[2],
-                    variant,
-                )?;
-                if args.mutate_lut {
-                    exec.lut_mut().set(0, 0, [1, 1]);
-                }
-                exec.verify()
-            }
-        };
-        match result {
+    for (name, variant) in variants(args.breakdown) {
+        let mut exec = kernel.exec(&args.sizes, variant)?;
+        if args.mutate_lut {
+            mutate_lut(&mut exec);
+        }
+        match K::verify(&exec) {
             Ok(()) => println!(
                 "[check] {name}: plan verified (LUT total + injective, dirty bits \
                  in padding, weights banded, banking conflict-free)"
@@ -567,7 +518,7 @@ mod tests {
             check: false,
             mutate_lut: false,
         };
-        let g = run_and_print(&a);
+        let (g, _) = try_run_and_print_checked(&a).unwrap();
         assert!(g > 0.0);
     }
 
@@ -613,7 +564,7 @@ mod tests {
             check: false,
             mutate_lut: false,
         };
-        let g = try_run_and_print(&a).unwrap();
+        let (g, _) = try_run_and_print_checked(&a).unwrap();
         assert!(g > 0.0);
         let content = std::fs::read_to_string(&path).unwrap();
         let trace = Trace::from_jsonl(&content).unwrap();

@@ -10,10 +10,11 @@
 //! message — scripts can match `error=artifact_read`). Corrupt
 //! checkpoints never panic.
 
-use convstencil::{ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError};
+use crate::{axes, parse_custom, parse_problem, problem};
+use convstencil::ConvStencilError;
 use convstencil_runtime::{Job, JobEvent, JobOutcome, JobPayload, Runtime, RuntimeConfig};
 use std::path::PathBuf;
-use stencil_core::{Grid1D, Grid2D, Grid3D, Kernel1D, Kernel2D, Kernel3D, Shape};
+use stencil_core::Shape;
 use tcu_sim::FaultPlan;
 
 /// Exit code for corrupt/unreadable checkpoint state.
@@ -64,11 +65,7 @@ pub struct ResumeCmd {
 }
 
 pub fn runtime_usage(dim: usize) -> String {
-    let sizes = match dim {
-        1 => "n",
-        2 => "m n",
-        _ => "d m n",
-    };
+    let sizes = axes(dim).join(" ");
     format!(
         "usage: convstencil_{dim}d run <shape> <{sizes}> <time_iteration_size> [options]\n\
          \x20      convstencil_{dim}d resume [--checkpoint-dir DIR] [--job NAME] [options]\n\
@@ -97,21 +94,7 @@ pub fn parse_run(dim: usize, argv: &[String]) -> Result<RunCmd, String> {
     if argv.is_empty() || argv.iter().any(|a| a == "--help") || argv.len() < dim + 2 {
         return Err(runtime_usage(dim));
     }
-    let shape = Shape::from_cli_name(&argv[0])
-        .ok_or_else(|| format!("unknown shape '{}'\n{}", argv[0], runtime_usage(dim)))?;
-    if shape.dim() != dim {
-        return Err(format!(
-            "shape {} is {}-dimensional; this binary is convstencil_{}d\n{}",
-            argv[0],
-            shape.dim(),
-            dim,
-            runtime_usage(dim)
-        ));
-    }
-    let mut sizes = Vec::with_capacity(dim);
-    for a in &argv[1..1 + dim] {
-        sizes.push(a.parse::<usize>().map_err(|_| runtime_usage(dim))?);
-    }
+    let (shape, sizes) = parse_problem(dim, argv, &runtime_usage(dim))?;
     let steps = argv[dim + 1]
         .parse::<usize>()
         .map_err(|_| runtime_usage(dim))?;
@@ -180,24 +163,8 @@ pub fn parse_run(dim: usize, argv: &[String]) -> Result<RunCmd, String> {
                 i += 1;
             }
             "--custom" => {
-                let need = match dim {
-                    1 => shape.nk(),
-                    2 => shape.nk() * shape.nk(),
-                    _ => shape.nk() * shape.nk() * shape.nk(),
-                };
-                let vals: Result<Vec<f64>, _> = argv[i + 1..]
-                    .iter()
-                    .take(need)
-                    .map(|a| a.parse::<f64>())
-                    .collect();
-                let vals = vals.map_err(|_| "invalid --custom weights".to_string())?;
-                if vals.len() != need {
-                    return Err(format!(
-                        "--custom needs {need} weights for {}",
-                        shape.name()
-                    ));
-                }
-                i += need;
+                let vals = parse_custom(&argv[i + 1..], shape)?;
+                i += vals.len();
                 cmd.custom_weights = Some(vals);
             }
             other => return Err(format!("unknown option '{other}'\n{}", runtime_usage(dim))),
@@ -270,59 +237,29 @@ pub fn parse_resume(dim: usize, argv: &[String]) -> Result<ResumeCmd, String> {
     Ok(cmd)
 }
 
+/// The job payload of a `run` command: the one-shot problem, with the
+/// grid capped harder per axis (`--quick` harder still).
 fn build_payload(cmd: &RunCmd) -> Result<JobPayload, ConvStencilError> {
-    let dim = cmd.shape.dim();
-    let missing_kernel = || ConvStencilError::InvalidKernel {
-        reason: format!("shape {} has no {dim}D kernel", cmd.shape.name()),
-    };
-    let cap = |requested: usize, cap_to: usize| requested.min(cap_to);
-    let max_side: usize = match (dim, cmd.quick) {
-        (1, true) => 1 << 16,
-        (1, false) => 1 << 20,
-        (2, true) => 256,
-        (2, false) => 1024,
-        (_, true) => 64,
-        (_, false) => 128,
-    };
-    match dim {
+    let caps =
+        |axes: usize, quick: usize, full: usize| vec![if cmd.quick { quick } else { full }; axes];
+    let (shape, custom, sizes) = (cmd.shape, cmd.custom_weights.as_deref(), &cmd.sizes[..]);
+    Ok(match shape.dim() {
         1 => {
-            let kernel = match &cmd.custom_weights {
-                Some(w) => Kernel1D::new(w.clone()),
-                None => cmd.shape.kernel1d().ok_or_else(missing_kernel)?,
-            };
-            let n = cap(cmd.sizes[0], max_side);
-            let mut grid = Grid1D::new(n, kernel.radius());
-            grid.fill_random(42);
-            let runner = ConvStencil1D::try_new(kernel)?.with_sanitizer(cmd.sanitize);
-            Ok(JobPayload::D1 { runner, grid })
+            let (runner, grid) = problem(shape, custom, sizes, &caps(1, 1 << 16, 1 << 20))?;
+            let runner = runner.with_sanitizer(cmd.sanitize);
+            JobPayload::D1 { runner, grid }
         }
         2 => {
-            let kernel = match &cmd.custom_weights {
-                Some(w) => Kernel2D::new(cmd.shape.radius(), w.clone()),
-                None => cmd.shape.kernel2d().ok_or_else(missing_kernel)?,
-            };
-            let (m, n) = (cap(cmd.sizes[0], max_side), cap(cmd.sizes[1], max_side));
-            let mut grid = Grid2D::new(m, n, kernel.radius());
-            grid.fill_random(42);
-            let runner = ConvStencil2D::try_new(kernel)?.with_sanitizer(cmd.sanitize);
-            Ok(JobPayload::D2 { runner, grid })
+            let (runner, grid) = problem(shape, custom, sizes, &caps(2, 256, 1024))?;
+            let runner = runner.with_sanitizer(cmd.sanitize);
+            JobPayload::D2 { runner, grid }
         }
         _ => {
-            let kernel = match &cmd.custom_weights {
-                Some(w) => Kernel3D::new(cmd.shape.radius(), w.clone()),
-                None => cmd.shape.kernel3d().ok_or_else(missing_kernel)?,
-            };
-            let (d, m, n) = (
-                cap(cmd.sizes[0], max_side),
-                cap(cmd.sizes[1], max_side),
-                cap(cmd.sizes[2], max_side),
-            );
-            let mut grid = Grid3D::new(d, m, n, kernel.radius());
-            grid.fill_random(42);
-            let runner = ConvStencil3D::try_new(kernel)?.with_sanitizer(cmd.sanitize);
-            Ok(JobPayload::D3 { runner, grid })
+            let (runner, grid) = problem(shape, custom, sizes, &caps(3, 64, 128))?;
+            let runner = runner.with_sanitizer(cmd.sanitize);
+            JobPayload::D3 { runner, grid }
         }
-    }
+    })
 }
 
 fn print_outcome(outcome: &JobOutcome, warnings: &[String]) {

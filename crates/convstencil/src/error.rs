@@ -1,8 +1,9 @@
 //! Typed errors for the ConvStencil pipeline.
 //!
-//! Every user-reachable failure mode has a variant here; the panicking
-//! entry points (`run`, `with_fusion`, `build_ext`, ...) are thin wrappers
-//! over the `try_*` twins that format these errors. Hand-rolled
+//! Every user-reachable failure mode has a variant here. The runner,
+//! the application loop and the layout transform return them directly;
+//! the remaining panicking constructors (`Exec*::new`, `Plan*::new*`)
+//! are thin wrappers over `try_*` twins that format them. Hand-rolled
 //! `Display`/`Error` impls (thiserror-style) keep the workspace free of
 //! proc-macro dependencies in the offline build.
 

@@ -9,10 +9,11 @@
 use crate::error::ConvStencilError;
 use crate::plan::LUT_SKIP;
 use crate::scatter::{AccessLedger, LutScatter};
+use crate::stencil::run_applications;
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::{WeightMatrices, FRAG_K};
-use stencil_core::Kernel1D;
+use stencil_core::{Boundary, Kernel1D};
 use tcu_sim::{conflict_free_pad, BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
 
 /// Geometry for the 1D pipeline.
@@ -120,11 +121,6 @@ impl Plan1D {
     }
 
     /// Build the extended array from a 1D grid.
-    pub fn build_ext(&self, grid: &stencil_core::Grid1D) -> Vec<f64> {
-        self.try_build_ext(grid).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Plan1D::build_ext`].
     pub fn try_build_ext(&self, grid: &stencil_core::Grid1D) -> Result<Vec<f64>, ConvStencilError> {
         if grid.len() != self.n {
             return Err(ConvStencilError::ShapeMismatch {
@@ -300,18 +296,6 @@ impl Exec1D {
     ///
     /// The explicit variant (I) materializes the stencil2row matrices in
     /// global scratch first; pass buffers from [`Exec1D::alloc_explicit`].
-    pub fn run_application(
-        &self,
-        dev: &mut Device,
-        ext_in: BufferId,
-        ext_out: BufferId,
-        explicit: Option<(BufferId, BufferId)>,
-    ) {
-        self.try_run_application(dev, ext_in, ext_out, explicit)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec1D::run_application`].
     pub fn try_run_application(
         &self,
         dev: &mut Device,
@@ -578,11 +562,6 @@ impl Exec1D {
 }
 
 /// Simulated periodic halo exchange on an extended 1D array.
-pub fn halo_exchange_1d(dev: &mut Device, ext: BufferId, plan: &Plan1D) {
-    try_halo_exchange_1d(dev, ext, plan).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`halo_exchange_1d`].
 pub fn try_halo_exchange_1d(
     dev: &mut Device,
     ext: BufferId,
@@ -607,62 +586,17 @@ pub fn try_halo_exchange_1d(
     Ok(())
 }
 
-/// Run `apps` applications over a fresh buffer pair; returns the final
-/// extended array.
-pub fn run_1d_applications(dev: &mut Device, exec: &Exec1D, ext0: &[f64], apps: usize) -> Vec<f64> {
-    run_1d_applications_bc(dev, exec, ext0, apps, stencil_core::Boundary::Dirichlet)
-}
-
-/// [`run_1d_applications`] with an explicit boundary condition.
-pub fn run_1d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec1D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Vec<f64> {
-    try_run_1d_applications_bc(dev, exec, ext0, apps, boundary).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_1d_applications_bc`].
+/// `apps` applications of the generic loop (`stencil::run_applications`) over
+/// a borrowed initial extended array. Kept under its 1D name because
+/// the repository benchmark (`perfbench/`) calls it.
 pub fn try_run_1d_applications_bc(
     dev: &mut Device,
     exec: &Exec1D,
     ext0: &[f64],
     apps: usize,
-    boundary: stencil_core::Boundary,
+    boundary: Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    run_1d_applications_owned(dev, exec, ext0.to_vec(), apps, boundary)
-}
-
-/// [`try_run_1d_applications_bc`] taking ownership of the initial
-/// extended array, which becomes the first ping-pong buffer (one
-/// whole-grid copy fewer for callers that do not keep it).
-pub(crate) fn run_1d_applications_owned(
-    dev: &mut Device,
-    exec: &Exec1D,
-    ext0: Vec<f64>,
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Result<Vec<f64>, ConvStencilError> {
-    let copy = ext0.clone();
-    let a = dev.alloc_vec(ext0);
-    let b = dev.alloc_vec(copy);
-    let scratch = exec
-        .variant
-        .explicit_global
-        .then(|| exec.alloc_explicit(dev));
-    let (mut cur, mut next) = (a, b);
-    for _ in 0..apps {
-        if boundary == stencil_core::Boundary::Periodic {
-            try_halo_exchange_1d(dev, cur, &exec.plan)?;
-        }
-        exec.try_run_application(dev, cur, next, scratch)?;
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // The device never touches the ping-pong buffers again: move the
-    // final extended array out instead of copying the whole grid.
-    Ok(dev.take_buffer(cur))
+    run_applications::<Kernel1D>(dev, exec, ext0.to_vec(), apps, boundary)
 }
 
 #[cfg(test)]
@@ -676,8 +610,9 @@ mod tests {
         grid.fill_random(8);
         let exec = Exec1D::new(kernel, n, variant);
         let mut dev = Device::a100();
-        let ext0 = exec.plan.build_ext(&grid);
-        let ext = run_1d_applications(&mut dev, &exec, &ext0, apps);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+        let ext =
+            try_run_1d_applications_bc(&mut dev, &exec, &ext0, apps, Boundary::Dirichlet).unwrap();
         let mut got = Grid1D::new(n, kernel.radius());
         exec.plan.extract_into(&ext, &mut got);
         let want = run1d(&grid, kernel, apps);
@@ -716,8 +651,9 @@ mod tests {
         for (name, variant) in VariantConfig::breakdown() {
             let exec = Exec1D::new(&kernel, n, variant);
             let mut dev = Device::a100();
-            let ext0 = exec.plan.build_ext(&grid);
-            let ext = run_1d_applications(&mut dev, &exec, &ext0, 1);
+            let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+            let ext =
+                try_run_1d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             let mut got = Grid1D::new(n, kernel.radius());
             exec.plan.extract_into(&ext, &mut got);
             assert_close_default(&got.interior(), &want);
@@ -734,8 +670,8 @@ mod tests {
         let exec = Exec1D::new(&kernel, n, VariantConfig::conv_stencil());
         let mut dev = Device::a100();
         let grid = Grid1D::new(n, 3);
-        let ext0 = exec.plan.build_ext(&grid);
-        run_1d_applications(&mut dev, &exec, &ext0, 1);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+        try_run_1d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         // Bands = n / (8 * (nk+1)) = 128; each 2*ceil(7/4) = 4 MMAs.
         assert_eq!(dev.counters.dmma_ops, (8192 / 64) * 4);
     }

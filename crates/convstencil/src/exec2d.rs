@@ -24,10 +24,11 @@
 use crate::error::ConvStencilError;
 use crate::plan::{Plan2D, ScatterLut};
 use crate::scatter::{AccessLedger, LutScatter};
+use crate::stencil::run_applications;
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::WeightMatrices;
-use stencil_core::Kernel2D;
+use stencil_core::{Boundary, Kernel2D};
 use tcu_sim::{BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
 
 /// Stack-buffer capacity for one tessellation band's `8(n_k+1)` outputs
@@ -205,20 +206,8 @@ impl Exec2D {
     }
 
     /// Run one application: read `ext_in`, write interior rows of
-    /// `ext_out`. `explicit` must be `Some` iff the variant is explicit.
-    pub fn run_application(
-        &self,
-        dev: &mut Device,
-        ext_in: BufferId,
-        ext_out: BufferId,
-        explicit: Option<ExplicitBuffers>,
-    ) {
-        self.try_run_application(dev, ext_in, ext_out, explicit)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec2D::run_application`]: surfaces scratch
-    /// misuse and device launch faults as errors.
+    /// `ext_out`. `explicit` must be `Some` iff the variant is explicit;
+    /// scratch misuse and device launch faults surface as errors.
     pub fn try_run_application(
         &self,
         dev: &mut Device,
@@ -563,11 +552,6 @@ impl Exec2D {
 /// kernels (column wrap within interior rows, then full-row wrap so the
 /// corners inherit the wrapped columns). Counted like any other kernel —
 /// periodic codes pay their exchange.
-pub fn halo_exchange_2d(dev: &mut Device, ext: BufferId, plan: &Plan2D) {
-    try_halo_exchange_2d(dev, ext, plan).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`halo_exchange_2d`].
 pub fn try_halo_exchange_2d(
     dev: &mut Device,
     ext: BufferId,
@@ -615,66 +599,17 @@ pub fn try_halo_exchange_2d(
     Ok(())
 }
 
-/// Convenience: run `apps` applications of `kernel` over a grid's extended
-/// arrays on a fresh pair of device buffers, returning the final extended
-/// array. Used by the high-level API and tests.
-pub fn run_2d_applications(dev: &mut Device, exec: &Exec2D, ext0: &[f64], apps: usize) -> Vec<f64> {
-    run_2d_applications_bc(dev, exec, ext0, apps, stencil_core::Boundary::Dirichlet)
-}
-
-/// [`run_2d_applications`] with an explicit boundary condition. Under
-/// periodic boundaries the halo is wrapped (on-device) before every
-/// application, which also makes temporal fusion exact.
-pub fn run_2d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec2D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Vec<f64> {
-    try_run_2d_applications_bc(dev, exec, ext0, apps, boundary).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_2d_applications_bc`]: propagates device launch
-/// faults (including injected ones) instead of panicking.
+/// `apps` applications of the generic loop (`stencil::run_applications`) over
+/// a borrowed initial extended array. Kept under its 2D name because
+/// the repository benchmark (`perfbench/`) calls it.
 pub fn try_run_2d_applications_bc(
     dev: &mut Device,
     exec: &Exec2D,
     ext0: &[f64],
     apps: usize,
-    boundary: stencil_core::Boundary,
+    boundary: Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    run_2d_applications_owned(dev, exec, ext0.to_vec(), apps, boundary)
-}
-
-/// [`try_run_2d_applications_bc`] taking ownership of the initial
-/// extended array, which becomes the first ping-pong buffer (one
-/// whole-grid copy fewer for callers that do not keep it).
-pub(crate) fn run_2d_applications_owned(
-    dev: &mut Device,
-    exec: &Exec2D,
-    ext0: Vec<f64>,
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Result<Vec<f64>, ConvStencilError> {
-    let copy = ext0.clone();
-    let a = dev.alloc_vec(ext0);
-    let b = dev.alloc_vec(copy);
-    let scratch = exec
-        .variant
-        .explicit_global
-        .then(|| exec.alloc_explicit(dev));
-    let (mut cur, mut next) = (a, b);
-    for _ in 0..apps {
-        if boundary == stencil_core::Boundary::Periodic {
-            try_halo_exchange_2d(dev, cur, &exec.plan)?;
-        }
-        exec.try_run_application(dev, cur, next, scratch)?;
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // The device never touches the ping-pong buffers again: move the
-    // final extended array out instead of copying the whole grid.
-    Ok(dev.take_buffer(cur))
+    run_applications::<Kernel2D>(dev, exec, ext0.to_vec(), apps, boundary)
 }
 
 #[cfg(test)]
@@ -688,8 +623,9 @@ mod tests {
         grid.fill_random(42);
         let exec = Exec2D::new(kernel, m, n, variant);
         let mut dev = Device::a100();
-        let ext0 = exec.plan.build_ext(&grid);
-        let ext = run_2d_applications(&mut dev, &exec, &ext0, apps);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+        let ext =
+            try_run_2d_applications_bc(&mut dev, &exec, &ext0, apps, Boundary::Dirichlet).unwrap();
         let mut got = Grid2D::new(m, n, kernel.radius());
         exec.plan.extract_into(&ext, &mut got);
         let want = run2d(&grid, kernel, apps);
@@ -745,8 +681,9 @@ mod tests {
         for (name, variant) in VariantConfig::breakdown() {
             let exec = Exec2D::new(&kernel, m, n, variant);
             let mut dev = Device::a100();
-            let ext0 = exec.plan.build_ext(&grid);
-            let ext = run_2d_applications(&mut dev, &exec, &ext0, 1);
+            let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+            let ext =
+                try_run_2d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             let mut got = Grid2D::new(m, n, kernel.radius());
             exec.plan.extract_into(&ext, &mut got);
             assert_close_default(&got.interior(), &want);
@@ -773,8 +710,8 @@ mod tests {
         let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
         let mut dev = Device::a100();
         let grid = Grid2D::new(m, n, 3);
-        let ext0 = exec.plan.build_ext(&grid);
-        run_2d_applications(&mut dev, &exec, &ext0, 1);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+        try_run_2d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         let expect = crate::model::convstencil_mma_count(m, n, 7);
         assert_eq!(dev.counters.dmma_ops, expect);
     }
@@ -787,8 +724,8 @@ mod tests {
             let mut dev = Device::a100();
             let mut grid = Grid2D::new(64, 128, 3);
             grid.fill_random(3);
-            let ext0 = exec.plan.build_ext(&grid);
-            run_2d_applications(&mut dev, &exec, &ext0, 1);
+            let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+            try_run_2d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             dev.counters
         };
         let unpadded = run(VariantConfig::implicit_tcu());
@@ -812,8 +749,8 @@ mod tests {
             let exec = Exec2D::new(&kernel, 64, 128, variant);
             let mut dev = Device::a100();
             let grid = Grid2D::new(64, 128, 3);
-            let ext0 = exec.plan.build_ext(&grid);
-            run_2d_applications(&mut dev, &exec, &ext0, 1);
+            let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+            try_run_2d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             dev.counters
         };
         let iv = run(VariantConfig::implicit_tcu_padded());
@@ -829,8 +766,8 @@ mod tests {
         let exec = Exec2D::new(&kernel, 64, 128, VariantConfig::conv_stencil());
         let mut dev = Device::a100();
         let grid = Grid2D::new(64, 128, 3);
-        let ext0 = exec.plan.build_ext(&grid);
-        run_2d_applications(&mut dev, &exec, &ext0, 1);
+        let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+        try_run_2d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         let uga = dev.counters.uncoalesced_global_access_pct();
         assert!(uga < 5.0, "UGA = {uga}%");
     }
@@ -842,8 +779,8 @@ mod tests {
             let exec = Exec2D::new(&kernel, 64, 128, variant);
             let mut dev = Device::a100();
             let grid = Grid2D::new(64, 128, 3);
-            let ext0 = exec.plan.build_ext(&grid);
-            run_2d_applications(&mut dev, &exec, &ext0, 1);
+            let ext0 = exec.plan.try_build_ext(&grid).unwrap();
+            try_run_2d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             dev.counters
         };
         let explicit = run(VariantConfig::explicit_cuda());

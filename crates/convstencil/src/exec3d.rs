@@ -15,10 +15,11 @@
 use crate::error::ConvStencilError;
 use crate::plan::{Plan2D, ScatterLut};
 use crate::scatter::{AccessLedger, LutScatter};
+use crate::stencil::run_applications;
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::WeightMatrices;
-use stencil_core::{Grid3D, Kernel3D};
+use stencil_core::{Boundary, Grid3D, Kernel3D};
 use tcu_sim::{BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
 
 /// How one kernel plane is computed.
@@ -371,11 +372,6 @@ impl Exec3D {
     }
 
     /// Build the 3D extended array from a grid.
-    pub fn build_ext(&self, grid: &Grid3D) -> Vec<f64> {
-        self.try_build_ext(grid).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec3D::build_ext`].
     pub fn try_build_ext(&self, grid: &Grid3D) -> Result<Vec<f64>, ConvStencilError> {
         if (grid.depth(), grid.rows(), grid.cols())
             != (self.d, self.plane_plan.m, self.plane_plan.n)
@@ -420,18 +416,6 @@ impl Exec3D {
 
     /// One application: read `ext_in`, write interior planes of `ext_out`.
     /// `explicit` must be `Some` iff the variant is explicit (variant I).
-    pub fn run_application(
-        &self,
-        dev: &mut Device,
-        ext_in: BufferId,
-        ext_out: BufferId,
-        explicit: Option<ExplicitBuffers3D>,
-    ) {
-        self.try_run_application(dev, ext_in, ext_out, explicit)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec3D::run_application`].
     pub fn try_run_application(
         &self,
         dev: &mut Device,
@@ -681,11 +665,6 @@ impl Exec3D {
 /// Simulated periodic halo exchange on an extended 3D array: column wrap,
 /// row wrap (per interior plane), then full-plane wrap so the halo planes
 /// inherit fully wrapped contents.
-pub fn halo_exchange_3d(dev: &mut Device, ext: BufferId, exec: &Exec3D) {
-    try_halo_exchange_3d(dev, ext, exec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`halo_exchange_3d`].
 pub fn try_halo_exchange_3d(
     dev: &mut Device,
     ext: BufferId,
@@ -743,61 +722,17 @@ pub fn try_halo_exchange_3d(
     Ok(())
 }
 
-/// Run `apps` applications over a fresh buffer pair.
-pub fn run_3d_applications(dev: &mut Device, exec: &Exec3D, ext0: &[f64], apps: usize) -> Vec<f64> {
-    run_3d_applications_bc(dev, exec, ext0, apps, stencil_core::Boundary::Dirichlet)
-}
-
-/// [`run_3d_applications`] with an explicit boundary condition.
-pub fn run_3d_applications_bc(
-    dev: &mut Device,
-    exec: &Exec3D,
-    ext0: &[f64],
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Vec<f64> {
-    try_run_3d_applications_bc(dev, exec, ext0, apps, boundary).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible twin of [`run_3d_applications_bc`].
+/// `apps` applications of the generic loop (`stencil::run_applications`) over
+/// a borrowed initial extended array. Kept under its 3D name because
+/// the repository benchmark (`perfbench/`) calls it.
 pub fn try_run_3d_applications_bc(
     dev: &mut Device,
     exec: &Exec3D,
     ext0: &[f64],
     apps: usize,
-    boundary: stencil_core::Boundary,
+    boundary: Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    run_3d_applications_owned(dev, exec, ext0.to_vec(), apps, boundary)
-}
-
-/// [`try_run_3d_applications_bc`] taking ownership of the initial
-/// extended array, which becomes the first ping-pong buffer (one
-/// whole-grid copy fewer for callers that do not keep it).
-pub(crate) fn run_3d_applications_owned(
-    dev: &mut Device,
-    exec: &Exec3D,
-    ext0: Vec<f64>,
-    apps: usize,
-    boundary: stencil_core::Boundary,
-) -> Result<Vec<f64>, ConvStencilError> {
-    let copy = ext0.clone();
-    let a = dev.alloc_vec(ext0);
-    let b = dev.alloc_vec(copy);
-    let scratch = exec
-        .variant
-        .explicit_global
-        .then(|| exec.alloc_explicit(dev));
-    let (mut cur, mut next) = (a, b);
-    for _ in 0..apps {
-        if boundary == stencil_core::Boundary::Periodic {
-            try_halo_exchange_3d(dev, cur, exec)?;
-        }
-        exec.try_run_application(dev, cur, next, scratch)?;
-        std::mem::swap(&mut cur, &mut next);
-    }
-    // The device never touches the ping-pong buffers again: move the
-    // final extended array out instead of copying the whole grid.
-    Ok(dev.take_buffer(cur))
+    run_applications::<Kernel3D>(dev, exec, ext0.to_vec(), apps, boundary)
 }
 
 #[cfg(test)]
@@ -812,8 +747,9 @@ mod tests {
         grid.fill_random(5);
         let exec = Exec3D::new(kernel, d, m, n, variant);
         let mut dev = Device::a100();
-        let ext0 = exec.build_ext(&grid);
-        let ext = run_3d_applications(&mut dev, &exec, &ext0, apps);
+        let ext0 = exec.try_build_ext(&grid).unwrap();
+        let ext =
+            try_run_3d_applications_bc(&mut dev, &exec, &ext0, apps, Boundary::Dirichlet).unwrap();
         let mut got = Grid3D::new(d, m, n, kernel.radius());
         exec.extract_into(&ext, &mut got);
         let want = run3d(&grid, kernel, apps);
@@ -843,8 +779,8 @@ mod tests {
         let exec = Exec3D::new(&k, 8, 8, 64, VariantConfig::conv_stencil());
         let mut dev = Device::a100();
         let grid = Grid3D::new(8, 8, 64, 1);
-        let ext0 = exec.build_ext(&grid);
-        run_3d_applications(&mut dev, &exec, &ext0, 1);
+        let ext0 = exec.try_build_ext(&grid).unwrap();
+        try_run_3d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         assert!(dev.counters.dmma_ops > 0, "center plane must use MMAs");
         assert!(
             dev.counters.cuda_fma_ops > 0,
@@ -859,8 +795,8 @@ mod tests {
         let exec = Exec3D::new(&k, d, m, n, VariantConfig::conv_stencil());
         let mut dev = Device::a100();
         let grid = Grid3D::new(d, m, n, 1);
-        let ext0 = exec.build_ext(&grid);
-        run_3d_applications(&mut dev, &exec, &ext0, 1);
+        let ext0 = exec.try_build_ext(&grid).unwrap();
+        try_run_3d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         // Per output plane: mn/(8*4) tessellations x 2*ceil(9/4)=6 MMAs,
         // once per input plane (3); times d output planes.
         let per_plane = (m as u64 * n as u64) / 32 * 6;
@@ -874,8 +810,9 @@ mod tests {
         let mut dev = Device::a100();
         let mut grid = Grid3D::new(6, 8, 32, 1);
         grid.fill_random(3);
-        let ext0 = exec.build_ext(&grid);
-        let ext = run_3d_applications(&mut dev, &exec, &ext0, 1);
+        let ext0 = exec.try_build_ext(&grid).unwrap();
+        let ext =
+            try_run_3d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
         assert_eq!(dev.counters.dmma_ops, 0);
         assert!(dev.counters.cuda_fma_ops > 0);
         let mut got = Grid3D::new(6, 8, 32, 1);
@@ -894,8 +831,9 @@ mod tests {
         for (name, variant) in crate::variants::VariantConfig::breakdown() {
             let exec = Exec3D::new(&k, d, m, n, variant);
             let mut dev = Device::a100();
-            let ext0 = exec.build_ext(&grid);
-            let ext = run_3d_applications(&mut dev, &exec, &ext0, 1);
+            let ext0 = exec.try_build_ext(&grid).unwrap();
+            let ext =
+                try_run_3d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
             let mut got = Grid3D::new(d, m, n, 1);
             exec.extract_into(&ext, &mut got);
             assert_close_default(&got.interior(), &want.interior());

@@ -29,6 +29,7 @@ pub mod numerics;
 pub mod plan;
 pub mod profile;
 mod scatter;
+pub mod stencil;
 pub mod stencil2row;
 pub mod tessellation;
 pub mod variants;
@@ -36,7 +37,8 @@ pub mod verify_plan;
 pub mod weights;
 
 pub use api::{
-    check_samples, ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport, VerifyConfig, MAX_NK,
+    check_samples, ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport,
+    VerifyConfig, MAX_NK,
 };
 pub use error::{ConvStencilError, DeadlineKind};
 pub use exec1d::Exec1D;
@@ -44,6 +46,7 @@ pub use exec2d::Exec2D;
 pub use exec3d::Exec3D;
 pub use plan::{Plan2D, ScatterLut};
 pub use profile::{PhaseSummary, Profile};
+pub use stencil::Stencil;
 pub use variants::VariantConfig;
 pub use verify_plan::{
     verify_layout_2d, verify_lut_1d, verify_lut_2d, verify_plan_1d, verify_weights,

@@ -284,11 +284,6 @@ impl Plan2D {
 
     /// Build the extended array from a grid (interior + available halo;
     /// zero beyond). The grid's halo must be at least `radius`.
-    pub fn build_ext(&self, grid: &Grid2D) -> Vec<f64> {
-        self.try_build_ext(grid).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Plan2D::build_ext`].
     pub fn try_build_ext(&self, grid: &Grid2D) -> Result<Vec<f64>, ConvStencilError> {
         if grid.rows() != self.m || grid.cols() != self.n {
             return Err(ConvStencilError::ShapeMismatch {
@@ -477,7 +472,7 @@ mod tests {
         let mut g = Grid2D::new(20, 30, 3);
         g.fill_random(17);
         let plan = Plan2D::new_2d(20, 30, 7, v5());
-        let ext = plan.build_ext(&g);
+        let ext = plan.try_build_ext(&g).unwrap();
         // Interior maps through ext_idx.
         for x in 0..20 {
             for y in 0..30 {

@@ -1,6 +1,6 @@
 //! The resilient job runtime.
 //!
-//! Turns the one-shot `ConvStencil{1,2,3}D::run` entry points into jobs
+//! Turns the one-shot `ConvStencil::try_run` entry point into jobs
 //! executed on a [`DevicePool`] with a per-chunk degradation ladder:
 //!
 //! 1. **retry on the same device** — advance its fault epoch and rerun
@@ -28,10 +28,10 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::checkpoint::{load_latest, Checkpoint, DeviceCursor};
 use crate::pool::{DevicePool, DeviceSlot};
 use convstencil::{
-    check_samples, ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError, DeadlineKind,
-    VariantConfig, VerifyConfig,
+    check_samples, ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError,
+    DeadlineKind, Stencil, VariantConfig, VerifyConfig,
 };
-use stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, Kernel1D, Kernel2D, Kernel3D};
+use stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, HaloGrid};
 use tcu_sim::{CostModel, Counters, Device, FaultPlan, LaunchStats, SanitizerReport};
 
 /// Runtime-wide configuration (shared by every job the runtime executes).
@@ -96,125 +96,137 @@ pub enum JobPayload {
     D3 { runner: ConvStencil3D, grid: Grid3D },
 }
 
+/// Evaluate `$body` with `$runner` and `$grid` bound to the payload's
+/// fields, whatever its dimension.
+macro_rules! each_dim {
+    ($payload:expr, |$runner:pat_param, $grid:pat_param| $body:expr) => {
+        match $payload {
+            JobPayload::D1 {
+                runner: $runner,
+                grid: $grid,
+            } => $body,
+            JobPayload::D2 {
+                runner: $runner,
+                grid: $grid,
+            } => $body,
+            JobPayload::D3 {
+                runner: $runner,
+                grid: $grid,
+            } => $body,
+        }
+    };
+}
+
+/// Run one chunk on `dev`; commit the grid only on success. With a
+/// verify config, the output is spot-checked against the reference
+/// decomposition of the same chunk before committing.
+fn chunk_on<K: Stencil>(
+    runner: &ConvStencil<K>,
+    grid: &mut K::Grid,
+    dev: &mut Device,
+    steps: usize,
+    verify: Option<&VerifyConfig>,
+) -> Result<(), ConvStencilError> {
+    let out = runner.try_run_on_device(dev, grid, steps)?;
+    if let Some(cfg) = verify {
+        let want = runner.run_reference(grid, steps);
+        check_samples(&out.interior(), &want.interior(), cfg)
+            .map_err(|source| ConvStencilError::VerificationFailed { retries: 0, source })?;
+    }
+    *grid = out;
+    Ok(())
+}
+
+/// Rebuild a `K` runner and its grid from a checkpoint, on top of the
+/// decoded variant and boundary.
+fn decode<K: Stencil>(
+    ck: &Checkpoint,
+    variant: VariantConfig,
+    boundary: Boundary,
+) -> Result<(ConvStencil<K>, K::Grid), ConvStencilError> {
+    let bad_grid = |why: String| ConvStencilError::ArtifactRead {
+        path: Checkpoint::file_name(&ck.job, ck.steps_done),
+        reason: why,
+    };
+    let want = (2 * ck.radius + 1).pow(K::DIM);
+    if ck.weights.len() != want {
+        return Err(bad_grid(format!(
+            "{}D kernel wants {want} weights, checkpoint has {}",
+            K::DIM,
+            ck.weights.len()
+        )));
+    }
+    let [tracing, sanitize, pooling] = ck.flags;
+    let runner =
+        ConvStencil::try_with_fusion(K::from_weights(ck.radius, ck.weights.clone()), ck.fusion)?
+            .with_variant(variant)
+            .with_boundary(boundary)
+            .with_tracing(tracing)
+            .with_sanitizer(sanitize)
+            .with_scratch_pooling(pooling);
+    let mut grid = K::Grid::zeros(&ck.grid_dims, ck.grid_halo);
+    if grid.padded().len() != ck.grid_data.len() {
+        return Err(bad_grid(format!(
+            "grid storage wants {} values, checkpoint has {}",
+            grid.padded().len(),
+            ck.grid_data.len()
+        )));
+    }
+    grid.padded_mut().copy_from_slice(&ck.grid_data);
+    Ok((runner, grid))
+}
+
 impl JobPayload {
     pub fn dim(&self) -> u8 {
-        match self {
-            JobPayload::D1 { .. } => 1,
-            JobPayload::D2 { .. } => 2,
-            JobPayload::D3 { .. } => 3,
-        }
+        each_dim!(self, |_, grid| grid.dims().len() as u8)
     }
 
     /// Flat interior values of the current grid (test/inspection helper).
     pub fn interior(&self) -> Vec<f64> {
-        match self {
-            JobPayload::D1 { grid, .. } => grid.interior(),
-            JobPayload::D2 { grid, .. } => grid.interior(),
-            JobPayload::D3 { grid, .. } => grid.interior(),
-        }
+        each_dim!(self, |_, grid| grid.interior())
     }
 
     fn pool_device(&self, plan: Option<FaultPlan>) -> Device {
-        match self {
-            JobPayload::D1 { runner, .. } => runner.pool_device(plan),
-            JobPayload::D2 { runner, .. } => runner.pool_device(plan),
-            JobPayload::D3 { runner, .. } => runner.pool_device(plan),
-        }
+        each_dim!(self, |runner, _| runner.pool_device(plan))
     }
 
-    /// Run one chunk on `dev`; commit the grid only on success. With a
-    /// verify config, the output is spot-checked against the reference
-    /// decomposition of the same chunk before committing.
     fn try_chunk_on(
         &mut self,
         dev: &mut Device,
         steps: usize,
         verify: Option<&VerifyConfig>,
     ) -> Result<(), ConvStencilError> {
-        match self {
-            JobPayload::D1 { runner, grid } => {
-                let out = runner.try_run_on_device(dev, grid, steps)?;
-                if let Some(cfg) = verify {
-                    let want = runner.run_reference(grid, steps);
-                    check_samples(&out.interior(), &want.interior(), cfg).map_err(|source| {
-                        ConvStencilError::VerificationFailed { retries: 0, source }
-                    })?;
-                }
-                *grid = out;
-            }
-            JobPayload::D2 { runner, grid } => {
-                let out = runner.try_run_on_device(dev, grid, steps)?;
-                if let Some(cfg) = verify {
-                    let want = runner.run_reference(grid, steps);
-                    check_samples(&out.interior(), &want.interior(), cfg).map_err(|source| {
-                        ConvStencilError::VerificationFailed { retries: 0, source }
-                    })?;
-                }
-                *grid = out;
-            }
-            JobPayload::D3 { runner, grid } => {
-                let out = runner.try_run_on_device(dev, grid, steps)?;
-                if let Some(cfg) = verify {
-                    let want = runner.run_reference(grid, steps);
-                    check_samples(&out.interior(), &want.interior(), cfg).map_err(|source| {
-                        ConvStencilError::VerificationFailed { retries: 0, source }
-                    })?;
-                }
-                *grid = out;
-            }
-        }
-        Ok(())
+        each_dim!(self, |runner, grid| chunk_on(
+            runner, grid, dev, steps, verify
+        ))
     }
 
     /// Run one chunk on the CPU reference backend (always succeeds).
     fn reference_chunk(&mut self, steps: usize) {
-        match self {
-            JobPayload::D1 { runner, grid } => *grid = runner.run_reference(grid, steps),
-            JobPayload::D2 { runner, grid } => *grid = runner.run_reference(grid, steps),
-            JobPayload::D3 { runner, grid } => *grid = runner.run_reference(grid, steps),
-        }
+        each_dim!(self, |runner, grid| *grid =
+            runner.run_reference(grid, steps))
     }
 
     fn plan_fields(&self) -> (usize, Vec<f64>, usize, Boundary, VariantConfig) {
-        match self {
-            JobPayload::D1 { runner, .. } => (
-                runner.base_kernel().radius(),
-                runner.base_kernel().weights().to_vec(),
+        each_dim!(self, |runner, _| {
+            let kernel = runner.base_kernel();
+            let weights = kernel.weights().to_vec();
+            (
+                kernel.radius(),
+                weights,
                 runner.fusion(),
                 runner.boundary(),
                 runner.variant(),
-            ),
-            JobPayload::D2 { runner, .. } => (
-                runner.base_kernel().radius(),
-                runner.base_kernel().weights().to_vec(),
-                runner.fusion(),
-                runner.boundary(),
-                runner.variant(),
-            ),
-            JobPayload::D3 { runner, .. } => (
-                runner.base_kernel().radius(),
-                runner.base_kernel().weights().to_vec(),
-                1,
-                runner.boundary(),
-                runner.variant(),
-            ),
-        }
+            )
+        })
     }
 
     fn grid_fields(&self) -> (Vec<usize>, usize, Vec<f64>) {
-        match self {
-            JobPayload::D1 { grid, .. } => (vec![grid.len()], grid.halo(), grid.padded().to_vec()),
-            JobPayload::D2 { grid, .. } => (
-                vec![grid.rows(), grid.cols()],
-                grid.halo(),
-                grid.padded().to_vec(),
-            ),
-            JobPayload::D3 { grid, .. } => (
-                vec![grid.depth(), grid.rows(), grid.cols()],
-                grid.halo(),
-                grid.padded().to_vec(),
-            ),
-        }
+        each_dim!(self, |_, grid| (
+            grid.dims(),
+            grid.halo(),
+            grid.padded().to_vec()
+        ))
     }
 
     /// Rebuild a payload (runner + grid) from a checkpoint. The runner
@@ -238,97 +250,20 @@ impl JobPayload {
             padding: ck.variant[2],
             dirty_bits_lut: ck.variant[3],
         };
-        let bad_grid = |why: String| ConvStencilError::ArtifactRead {
-            path: Checkpoint::file_name(&ck.job, ck.steps_done),
-            reason: why,
-        };
-        let nk = 2 * ck.radius + 1;
-        let [tracing, sanitize, pooling] = ck.flags;
         match ck.dim {
             1 => {
-                if ck.weights.len() != nk {
-                    return Err(bad_grid(format!(
-                        "1D kernel wants {nk} weights, checkpoint has {}",
-                        ck.weights.len()
-                    )));
-                }
-                let runner =
-                    ConvStencil1D::try_with_fusion(Kernel1D::new(ck.weights.clone()), ck.fusion)?
-                        .with_variant(variant)
-                        .with_boundary(boundary)
-                        .with_tracing(tracing)
-                        .with_sanitizer(sanitize)
-                        .with_scratch_pooling(pooling);
-                let mut grid = Grid1D::new(ck.grid_dims[0], ck.grid_halo);
-                if grid.padded().len() != ck.grid_data.len() {
-                    return Err(bad_grid(format!(
-                        "grid storage wants {} values, checkpoint has {}",
-                        grid.padded().len(),
-                        ck.grid_data.len()
-                    )));
-                }
-                grid.padded_mut().copy_from_slice(&ck.grid_data);
-                Ok(JobPayload::D1 { runner, grid })
+                decode(ck, variant, boundary).map(|(runner, grid)| JobPayload::D1 { runner, grid })
             }
             2 => {
-                if ck.weights.len() != nk * nk {
-                    return Err(bad_grid(format!(
-                        "2D kernel wants {} weights, checkpoint has {}",
-                        nk * nk,
-                        ck.weights.len()
-                    )));
-                }
-                let runner = ConvStencil2D::try_with_fusion(
-                    Kernel2D::new(ck.radius, ck.weights.clone()),
-                    ck.fusion,
-                )?
-                .with_variant(variant)
-                .with_boundary(boundary)
-                .with_tracing(tracing)
-                .with_sanitizer(sanitize)
-                .with_scratch_pooling(pooling);
-                let mut grid = Grid2D::new(ck.grid_dims[0], ck.grid_dims[1], ck.grid_halo);
-                if grid.padded().len() != ck.grid_data.len() {
-                    return Err(bad_grid(format!(
-                        "grid storage wants {} values, checkpoint has {}",
-                        grid.padded().len(),
-                        ck.grid_data.len()
-                    )));
-                }
-                grid.padded_mut().copy_from_slice(&ck.grid_data);
-                Ok(JobPayload::D2 { runner, grid })
+                decode(ck, variant, boundary).map(|(runner, grid)| JobPayload::D2 { runner, grid })
             }
             3 => {
-                if ck.weights.len() != nk * nk * nk {
-                    return Err(bad_grid(format!(
-                        "3D kernel wants {} weights, checkpoint has {}",
-                        nk * nk * nk,
-                        ck.weights.len()
-                    )));
-                }
-                let runner = ConvStencil3D::try_new(Kernel3D::new(ck.radius, ck.weights.clone()))?
-                    .with_variant(variant)
-                    .with_boundary(boundary)
-                    .with_tracing(tracing)
-                    .with_sanitizer(sanitize)
-                    .with_scratch_pooling(pooling);
-                let mut grid = Grid3D::new(
-                    ck.grid_dims[0],
-                    ck.grid_dims[1],
-                    ck.grid_dims[2],
-                    ck.grid_halo,
-                );
-                if grid.padded().len() != ck.grid_data.len() {
-                    return Err(bad_grid(format!(
-                        "grid storage wants {} values, checkpoint has {}",
-                        grid.padded().len(),
-                        ck.grid_data.len()
-                    )));
-                }
-                grid.padded_mut().copy_from_slice(&ck.grid_data);
-                Ok(JobPayload::D3 { runner, grid })
+                decode(ck, variant, boundary).map(|(runner, grid)| JobPayload::D3 { runner, grid })
             }
-            other => Err(bad_grid(format!("unsupported dim {other}"))),
+            other => Err(ConvStencilError::ArtifactRead {
+                path: Checkpoint::file_name(&ck.job, ck.steps_done),
+                reason: format!("unsupported dim {other}"),
+            }),
         }
     }
 }

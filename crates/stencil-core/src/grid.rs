@@ -400,6 +400,88 @@ impl Grid3D {
     }
 }
 
+/// What dimension-generic code needs from a halo grid: its extent, halo
+/// and storage. Implemented by [`Grid1D`], [`Grid2D`] and [`Grid3D`].
+pub trait HaloGrid: Clone + std::fmt::Debug {
+    /// Zero-filled grid with interior extent `dims` (one entry per axis).
+    fn zeros(dims: &[usize], halo: usize) -> Self;
+    /// Interior extent, one entry per axis.
+    fn dims(&self) -> Vec<usize>;
+    fn halo(&self) -> usize;
+    fn padded(&self) -> &[f64];
+    fn padded_mut(&mut self) -> &mut [f64];
+    fn interior(&self) -> Vec<f64>;
+    fn with_halo(&self, halo: usize) -> Self;
+    /// Overwrite the interior with `src`'s (same extent, any halo).
+    fn copy_interior(&mut self, src: &Self);
+}
+
+/// The [`HaloGrid`] methods every grid forwards to its inherent ones.
+macro_rules! halo_grid_forwards {
+    () => {
+        fn halo(&self) -> usize {
+            self.halo
+        }
+        fn padded(&self) -> &[f64] {
+            &self.data
+        }
+        fn padded_mut(&mut self) -> &mut [f64] {
+            &mut self.data
+        }
+        fn interior(&self) -> Vec<f64> {
+            Self::interior(self)
+        }
+        fn with_halo(&self, halo: usize) -> Self {
+            Self::with_halo(self, halo)
+        }
+    };
+}
+
+impl HaloGrid for Grid1D {
+    fn zeros(dims: &[usize], halo: usize) -> Self {
+        Self::new(dims[0], halo)
+    }
+    fn dims(&self) -> Vec<usize> {
+        vec![self.n]
+    }
+    fn copy_interior(&mut self, src: &Self) {
+        (0..self.n).for_each(|i| self.set(i, src.get(i)));
+    }
+    halo_grid_forwards!();
+}
+
+impl HaloGrid for Grid2D {
+    fn zeros(dims: &[usize], halo: usize) -> Self {
+        Self::new(dims[0], dims[1], halo)
+    }
+    fn dims(&self) -> Vec<usize> {
+        vec![self.m, self.n]
+    }
+    fn copy_interior(&mut self, src: &Self) {
+        for x in 0..self.m {
+            (0..self.n).for_each(|y| self.set(x, y, src.get(x, y)));
+        }
+    }
+    halo_grid_forwards!();
+}
+
+impl HaloGrid for Grid3D {
+    fn zeros(dims: &[usize], halo: usize) -> Self {
+        Self::new(dims[0], dims[1], dims[2], halo)
+    }
+    fn dims(&self) -> Vec<usize> {
+        vec![self.d, self.m, self.n]
+    }
+    fn copy_interior(&mut self, src: &Self) {
+        for z in 0..self.d {
+            for x in 0..self.m {
+                (0..self.n).for_each(|y| self.set(z, x, y, src.get(z, x, y)));
+            }
+        }
+    }
+    halo_grid_forwards!();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,7 @@ pub use boundary::{
     run3d_periodic, Boundary,
 };
 pub use fusion::{auto_fusion_degree, compose1d, compose2d, compose3d, fuse1d, fuse2d, fuse3d};
-pub use grid::{fill_pseudorandom, Grid1D, Grid2D, Grid3D};
+pub use grid::{fill_pseudorandom, Grid1D, Grid2D, Grid3D, HaloGrid};
 pub use kernel::{Kernel1D, Kernel2D, Kernel3D};
 pub use shapes::{AnyKernel, Shape};
 pub use verify::{

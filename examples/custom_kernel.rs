@@ -7,10 +7,10 @@
 //! cargo run --release --example custom_kernel
 //! ```
 
-use convstencil_repro::convstencil::{ConvStencil2D, VariantConfig};
+use convstencil_repro::convstencil::{ConvStencil2D, ConvStencilError, VariantConfig};
 use convstencil_repro::stencil_core::{reference, Grid2D, Kernel2D};
 
-fn main() {
+fn main() -> Result<(), ConvStencilError> {
     // An anisotropic advection-diffusion-style kernel: stronger coupling
     // along x than y, slight upwind bias. Any weights work — ConvStencil
     // places them into the dual-tessellation weight matrices unchanged.
@@ -31,8 +31,8 @@ fn main() {
     println!("{}", "-".repeat(80));
     let mut reference_out: Option<Vec<f64>> = None;
     for (name, variant) in VariantConfig::breakdown() {
-        let cs = ConvStencil2D::new(kernel.clone()).with_variant(variant);
-        let (out, report) = cs.run(&grid, 6);
+        let cs = ConvStencil2D::try_new(kernel.clone())?.with_variant(variant);
+        let (out, report) = cs.try_run(&grid, 6)?;
         println!(
             "{:<28}  {:>10.1}  {:>5.2}  {:>5.2}  {:>8}  {:>9}",
             name.split(':').next().unwrap(),
@@ -51,8 +51,8 @@ fn main() {
     }
 
     // Correctness: variant V vs 6 naive steps, deep interior.
-    let cs = ConvStencil2D::new(kernel.clone());
-    let (out, _) = cs.run(&grid, 6);
+    let cs = ConvStencil2D::try_new(kernel.clone())?;
+    let (out, _) = cs.try_run(&grid, 6)?;
     let naive = reference::run2d(&grid, &kernel, 6);
     let mut worst: f64 = 0.0;
     for x in 18..238 {
@@ -63,4 +63,5 @@ fn main() {
     }
     println!("\ndeep-interior error of variant V vs 6 naive steps: {worst:.2e}");
     assert!(worst < 1e-10);
+    Ok(())
 }

@@ -10,7 +10,7 @@
 //! cargo run --release --example heat_diffusion
 //! ```
 
-use convstencil_repro::convstencil::ConvStencil2D;
+use convstencil_repro::convstencil::{ConvStencil2D, ConvStencilError};
 use convstencil_repro::stencil_core::{Grid2D, Kernel2D};
 
 const N: usize = 384;
@@ -37,10 +37,10 @@ fn render(grid: &Grid2D) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), ConvStencilError> {
     // Diffusion kernel: classic 5-point explicit Euler step.
     let kernel = Kernel2D::star(0.5, &[0.125]);
-    let cs = ConvStencil2D::new(kernel);
+    let cs = ConvStencil2D::try_new(kernel)?;
 
     // Cold plate with a 100-degree hot square in the middle.
     let mut plate = Grid2D::new(N, N, 3);
@@ -56,7 +56,7 @@ fn main() {
     render(&plate);
     for epoch in 1..=3 {
         let steps = 60;
-        let (next, report) = cs.run(&plate, steps);
+        let (next, report) = cs.try_run(&plate, steps)?;
         plate = next;
         total_gstencils += report.gstencils_per_sec;
         epochs += 1;
@@ -77,4 +77,5 @@ fn main() {
         total_gstencils / epochs as f64,
         epochs
     );
+    Ok(())
 }

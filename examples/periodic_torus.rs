@@ -7,10 +7,10 @@
 //! cargo run --release --example periodic_torus
 //! ```
 
-use convstencil_repro::convstencil::ConvStencil2D;
+use convstencil_repro::convstencil::{ConvStencil2D, ConvStencilError};
 use convstencil_repro::stencil_core::{run2d_periodic, Boundary, Grid2D, Shape};
 
-fn main() {
+fn main() -> Result<(), ConvStencilError> {
     let kernel = Shape::Box2D9P.kernel2d().unwrap();
     let (m, n) = (96, 160);
 
@@ -22,9 +22,9 @@ fn main() {
         }
     }
 
-    let cs = ConvStencil2D::new(kernel.clone()).with_boundary(Boundary::Periodic);
+    let cs = ConvStencil2D::try_new(kernel.clone())?.with_boundary(Boundary::Periodic);
     let steps = 9;
-    let (out, report) = cs.run(&grid, steps);
+    let (out, report) = cs.try_run(&grid, steps)?;
 
     // Exactness everywhere, including the wrapped corners.
     let want = run2d_periodic(&grid, &kernel, steps);
@@ -50,4 +50,5 @@ fn main() {
         "\nmodelled {:.1} GStencils/s over {} steps ({} halo-exchange + compute launches)",
         report.gstencils_per_sec, report.steps, report.launch_stats.kernel_launches
     );
+    Ok(())
 }

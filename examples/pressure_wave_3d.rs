@@ -9,10 +9,10 @@
 use convstencil_repro::baselines::{
     Brick, ConvStencilSystem, DrStencil, ProblemSize, StencilSystem,
 };
-use convstencil_repro::convstencil::ConvStencil3D;
+use convstencil_repro::convstencil::{ConvStencil3D, ConvStencilError};
 use convstencil_repro::stencil_core::{reference, Grid3D, Kernel3D, Shape};
 
-fn main() {
+fn main() -> Result<(), ConvStencilError> {
     let kernel = Kernel3D::star(0.4, &[0.1]);
     let (d, m, n) = (24, 64, 128);
 
@@ -20,8 +20,8 @@ fn main() {
     let mut volume = Grid3D::new(d, m, n, 1);
     volume.set(d / 2, m / 2, n / 2, 1000.0);
 
-    let cs = ConvStencil3D::new(kernel.clone());
-    let (result, report) = cs.run(&volume, 4);
+    let cs = ConvStencil3D::try_new(kernel.clone())?;
+    let (result, report) = cs.try_run(&volume, 4)?;
 
     // The pulse spreads: total mass is conserved by the sum-one kernel.
     let total: f64 = result.interior().iter().sum();
@@ -54,4 +54,5 @@ fn main() {
             .unwrap();
         println!("  {:<14} {:>7.1}", sys.name(), r.report.gstencils_per_sec);
     }
+    Ok(())
 }

@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use convstencil_repro::convstencil::ConvStencil2D;
+use convstencil_repro::convstencil::{ConvStencil2D, ConvStencilError};
 use convstencil_repro::stencil_core::{reference, Grid2D, Kernel2D};
 
-fn main() {
+fn main() -> Result<(), ConvStencilError> {
     // A 5-point heat kernel (Heat-2D in the paper): centre 0.5, each
     // axis neighbour 0.125.
     let kernel = Kernel2D::star(0.5, &[0.125]);
@@ -20,7 +20,7 @@ fn main() {
     grid.fill_random(42);
 
     // Build the runner and advance 6 time steps on the simulated A100.
-    let cs = ConvStencil2D::new(kernel.clone());
+    let cs = ConvStencil2D::try_new(kernel.clone())?;
     println!(
         "kernel: {}x{} (radius {}), fusion degree {} -> n_k = {}",
         kernel.nk(),
@@ -29,7 +29,7 @@ fn main() {
         cs.fusion(),
         cs.fused_kernel().nk()
     );
-    let (result, report) = cs.run(&grid, 6);
+    let (result, report) = cs.try_run(&grid, 6)?;
 
     // Verify: 6 steps at fusion 3 = two applications of the fused kernel.
     let expected = reference::run2d(&grid, cs.fused_kernel(), 2);
@@ -58,4 +58,5 @@ fn main() {
         "modelled throughput   : {:.1} GStencils/s ({} points x {} steps)",
         report.gstencils_per_sec, report.points, report.steps
     );
+    Ok(())
 }

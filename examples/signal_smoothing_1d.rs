@@ -10,10 +10,10 @@
 //! cargo run --release --example signal_smoothing_1d
 //! ```
 
-use convstencil_repro::convstencil::ConvStencil1D;
+use convstencil_repro::convstencil::{ConvStencil1D, ConvStencilError};
 use convstencil_repro::stencil_core::{fuse1d, Grid1D, Kernel1D};
 
-fn main() {
+fn main() -> Result<(), ConvStencilError> {
     let n = 1 << 18;
     // Noisy composite signal: two tones + deterministic noise.
     let mut signal = Grid1D::new(n, 3);
@@ -27,7 +27,7 @@ fn main() {
     }
 
     let kernel = Kernel1D::new(vec![0.25, 0.5, 0.25]);
-    let cs = ConvStencil1D::new(kernel.clone());
+    let cs = ConvStencil1D::try_new(kernel.clone())?;
     println!(
         "binomial kernel fused {}x -> {} taps: {:?}",
         cs.fusion(),
@@ -43,7 +43,7 @@ fn main() {
     };
 
     println!("roughness before: {:.5}", roughness(&signal));
-    let (smoothed, report) = cs.run(&signal, 12);
+    let (smoothed, report) = cs.try_run(&signal, 12)?;
     println!("roughness after 12 passes: {:.5}", roughness(&smoothed));
     assert!(roughness(&smoothed) < 0.05 * roughness(&signal));
 
@@ -65,4 +65,5 @@ fn main() {
         report.counters.dmma_ops,
         report.counters.uncoalesced_global_access_pct()
     );
+    Ok(())
 }

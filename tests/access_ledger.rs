@@ -76,7 +76,8 @@ fn ledger_path_matches_address_level_path_in_1d() {
     grid.fill_random(21);
     for (dev_name, dev) in devices() {
         for (name, variant) in VariantConfig::breakdown() {
-            let runner = ConvStencil1D::new(kernel.clone())
+            let runner = ConvStencil1D::try_new(kernel.clone())
+                .unwrap()
                 .with_variant(variant)
                 .with_device(dev.clone())
                 .with_tracing(true);
@@ -100,7 +101,8 @@ fn ledger_path_matches_address_level_path_in_2d() {
     grid.fill_random(22);
     for (dev_name, dev) in devices() {
         for (name, variant) in VariantConfig::breakdown() {
-            let runner = ConvStencil2D::new(kernel.clone())
+            let runner = ConvStencil2D::try_new(kernel.clone())
+                .unwrap()
                 .with_variant(variant)
                 .with_device(dev.clone())
                 .with_tracing(true);
@@ -122,7 +124,8 @@ fn ledger_path_matches_address_level_path_in_3d() {
     grid.fill_random(23);
     for (dev_name, dev) in devices() {
         for (name, variant) in VariantConfig::breakdown() {
-            let runner = ConvStencil3D::new(kernel.clone())
+            let runner = ConvStencil3D::try_new(kernel.clone())
+                .unwrap()
                 .with_variant(variant)
                 .with_device(dev.clone())
                 .with_boundary(Boundary::Periodic)

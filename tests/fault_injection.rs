@@ -9,7 +9,7 @@ use convstencil_repro::stencil_core::{check_close_default, reference, Boundary, 
 use convstencil_repro::tcu_sim::FaultPlan;
 
 fn heat2d_runner() -> ConvStencil2D {
-    ConvStencil2D::new(Shape::Heat2D.kernel2d().unwrap())
+    ConvStencil2D::try_new(Shape::Heat2D.kernel2d().unwrap()).unwrap()
 }
 
 fn test_grid(m: usize, n: usize, halo: usize, seed: u64) -> Grid2D {
@@ -129,7 +129,8 @@ fn quiet_plan_changes_nothing() {
 #[test]
 fn verified_periodic_boundary_matches_torus_reference() {
     let kernel = Shape::Box2D9P.kernel2d().unwrap();
-    let cs = ConvStencil2D::new(kernel.clone())
+    let cs = ConvStencil2D::try_new(kernel.clone())
+        .unwrap()
         .with_boundary(Boundary::Periodic)
         .with_fault_plan(FaultPlan::quiet(21).with_smem_corrupt_rate(0.0005));
     let mut grid = Grid2D::new(24, 40, 1);

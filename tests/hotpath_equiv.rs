@@ -62,13 +62,14 @@ fn pooled_matches_unpooled_1d_across_all_variants() {
     let mut g = Grid1D::new(3000, k.radius());
     g.fill_random(17);
     for (name, variant) in VariantConfig::breakdown() {
-        let base = ConvStencil1D::new(k.clone())
+        let base = ConvStencil1D::try_new(k.clone())
+            .unwrap()
             .with_variant(variant)
             .with_tracing(true)
             .with_sanitizer(true)
             .with_fault_plan(fault_plan());
-        let (out_p, rep_p) = base.clone().run(&g, 3);
-        let (out_u, rep_u) = base.with_scratch_pooling(false).run(&g, 3);
+        let (out_p, rep_p) = base.clone().try_run(&g, 3).unwrap();
+        let (out_u, rep_u) = base.with_scratch_pooling(false).try_run(&g, 3).unwrap();
         assert_bits_equal(&out_p.interior(), &out_u.interior(), name);
         assert_reports_match(&rep_p, &rep_u, name);
     }
@@ -80,13 +81,14 @@ fn pooled_matches_unpooled_2d_across_all_variants() {
     let mut g = Grid2D::new(40, 72, k.radius());
     g.fill_random(23);
     for (name, variant) in VariantConfig::breakdown() {
-        let base = ConvStencil2D::new(k.clone())
+        let base = ConvStencil2D::try_new(k.clone())
+            .unwrap()
             .with_variant(variant)
             .with_tracing(true)
             .with_sanitizer(true)
             .with_fault_plan(fault_plan());
-        let (out_p, rep_p) = base.clone().run(&g, 4);
-        let (out_u, rep_u) = base.with_scratch_pooling(false).run(&g, 4);
+        let (out_p, rep_p) = base.clone().try_run(&g, 4).unwrap();
+        let (out_u, rep_u) = base.with_scratch_pooling(false).try_run(&g, 4).unwrap();
         assert_bits_equal(&out_p.interior(), &out_u.interior(), name);
         assert_reports_match(&rep_p, &rep_u, name);
     }
@@ -98,13 +100,14 @@ fn pooled_matches_unpooled_3d_across_all_variants() {
     let mut g = Grid3D::new(6, 10, 40, k.radius());
     g.fill_random(31);
     for (name, variant) in VariantConfig::breakdown() {
-        let base = ConvStencil3D::new(k.clone())
+        let base = ConvStencil3D::try_new(k.clone())
+            .unwrap()
             .with_variant(variant)
             .with_tracing(true)
             .with_sanitizer(true)
             .with_fault_plan(fault_plan());
-        let (out_p, rep_p) = base.clone().run(&g, 3);
-        let (out_u, rep_u) = base.with_scratch_pooling(false).run(&g, 3);
+        let (out_p, rep_p) = base.clone().try_run(&g, 3).unwrap();
+        let (out_u, rep_u) = base.with_scratch_pooling(false).try_run(&g, 3).unwrap();
         assert_bits_equal(&out_p.interior(), &out_u.interior(), name);
         assert_reports_match(&rep_p, &rep_u, name);
     }
@@ -119,11 +122,15 @@ fn pooled_matches_unpooled_through_verified_retry() {
     let mut g = Grid2D::new(32, 64, k.radius());
     g.fill_random(41);
     let plan = FaultPlan::quiet(0x9002).with_smem_corrupt_rate(0.02);
-    let base = ConvStencil2D::new(k)
+    let base = ConvStencil2D::try_new(k)
+        .unwrap()
         .with_tracing(true)
         .with_fault_plan(plan);
-    let (out_p, rep_p) = base.clone().run_verified(&g, 3);
-    let (out_u, rep_u) = base.with_scratch_pooling(false).run_verified(&g, 3);
+    let (out_p, rep_p) = base.clone().try_run_verified(&g, 3).unwrap();
+    let (out_u, rep_u) = base
+        .with_scratch_pooling(false)
+        .try_run_verified(&g, 3)
+        .unwrap();
     assert_bits_equal(&out_p.interior(), &out_u.interior(), "verified");
     assert_eq!(rep_p.retries, rep_u.retries, "retry counts differ");
     assert_eq!(rep_p.faults_detected, rep_u.faults_detected);

@@ -23,7 +23,8 @@ fn grid2d(m: usize, n: usize, halo: usize) -> Grid2D {
 fn shipped_1d_kernel_runs_clean_under_sanitizer() {
     let kernel = Kernel1D::new(vec![0.25, 0.5, 0.25]);
     let line = Grid1D::from_fn(4096, kernel.radius(), |i| (i % 31) as f64);
-    let (_, report) = ConvStencil1D::new(kernel)
+    let (_, report) = ConvStencil1D::try_new(kernel)
+        .unwrap()
         .with_sanitizer(true)
         .try_run(&line, 2)
         .unwrap();
@@ -42,7 +43,8 @@ fn shipped_2d_kernel_runs_clean_under_sanitizer() {
     // 70 rows: the last block stages a partial tile, exercising the
     // partial-rows exemption geometry.
     let grid = grid2d(70, 96, 1);
-    let (_, report) = ConvStencil2D::new(kernel)
+    let (_, report) = ConvStencil2D::try_new(kernel)
+        .unwrap()
         .with_sanitizer(true)
         .try_run(&grid, 2)
         .unwrap();
@@ -62,7 +64,8 @@ fn shipped_3d_kernel_runs_clean_under_sanitizer() {
     let vol = Grid3D::from_fn(24, 24, 48, kernel.radius(), |x, y, z| {
         ((x * 7 + y * 3 + z) % 53) as f64
     });
-    let (_, report) = ConvStencil3D::new(kernel)
+    let (_, report) = ConvStencil3D::try_new(kernel)
+        .unwrap()
         .with_sanitizer(true)
         .try_run(&vol, 1)
         .unwrap();
@@ -79,7 +82,8 @@ fn breakdown_variants_split_exactly_on_padding() {
     // I/II) are flagged.
     let grid = grid2d(64, 96, 1);
     for (name, variant) in VariantConfig::breakdown() {
-        let (_, report) = ConvStencil2D::new(Kernel2D::box_uniform(1))
+        let (_, report) = ConvStencil2D::try_new(Kernel2D::box_uniform(1))
+            .unwrap()
             .with_variant(variant)
             .with_sanitizer(true)
             .try_run(&grid, 1)
@@ -111,7 +115,8 @@ fn unpadded_variant_iii_is_flagged_by_bankcheck() {
     // Variant III: TCU compute on the raw (unpadded) stride — the exact
     // layout Fig. 5 shows causing strided-load bank conflicts.
     let grid = grid2d(64, 96, 1);
-    let (_, report) = ConvStencil2D::new(Kernel2D::box_uniform(1))
+    let (_, report) = ConvStencil2D::try_new(Kernel2D::box_uniform(1))
+        .unwrap()
         .with_variant(VariantConfig::implicit_tcu())
         .with_sanitizer(true)
         .try_run(&grid, 1)
@@ -134,7 +139,7 @@ fn unpadded_variant_iii_is_flagged_by_bankcheck() {
 #[test]
 fn sanitizer_off_means_no_report_and_no_shadow_cost() {
     let grid = grid2d(40, 64, 1);
-    let runner = ConvStencil2D::new(Kernel2D::box_uniform(1));
+    let runner = ConvStencil2D::try_new(Kernel2D::box_uniform(1)).unwrap();
     let (out_plain, report) = runner.try_run(&grid, 2).unwrap();
     assert!(report.sanitizer.is_none(), "no report unless requested");
     // Sanitizing is observe-only: identical results and ledger.

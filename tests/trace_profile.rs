@@ -11,12 +11,12 @@
 //! Span `wall_ns` is measured: each block timestamps its phase switches,
 //! and a launch's phase spans never hold more time than the launch took.
 
-use convstencil_repro::convstencil::exec2d::{run_2d_applications, Exec2D};
+use convstencil_repro::convstencil::exec2d::{try_run_2d_applications_bc, Exec2D};
 use convstencil_repro::convstencil::profile::Profile;
 use convstencil_repro::convstencil::{
     ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport, VariantConfig, VerifyConfig,
 };
-use convstencil_repro::stencil_core::{Grid1D, Grid2D, Grid3D, Shape};
+use convstencil_repro::stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, Shape};
 use convstencil_repro::tcu_sim::{Device, FaultPlan, Phase, Trace};
 use std::time::{Duration, Instant};
 
@@ -35,8 +35,10 @@ fn assert_spans_sum_to_ledger(report: &RunReport) -> Trace {
 fn traced_1d_run_spans_sum_to_report_counters() {
     let mut g = Grid1D::new(4000, 3);
     g.fill_random(5);
-    let cs = ConvStencil1D::new(Shape::Heat1D.kernel1d().unwrap()).with_tracing(true);
-    let (_, report) = cs.run(&g, 3);
+    let cs = ConvStencil1D::try_new(Shape::Heat1D.kernel1d().unwrap())
+        .unwrap()
+        .with_tracing(true);
+    let (_, report) = cs.try_run(&g, 3).unwrap();
     let trace = assert_spans_sum_to_ledger(&report);
     assert!(trace
         .spans
@@ -48,8 +50,10 @@ fn traced_1d_run_spans_sum_to_report_counters() {
 fn traced_2d_run_spans_sum_to_report_counters() {
     let mut g = Grid2D::new(96, 96, 3);
     g.fill_random(11);
-    let cs = ConvStencil2D::new(Shape::Box2D9P.kernel2d().unwrap()).with_tracing(true);
-    let (_, report) = cs.run(&g, 4);
+    let cs = ConvStencil2D::try_new(Shape::Box2D9P.kernel2d().unwrap())
+        .unwrap()
+        .with_tracing(true);
+    let (_, report) = cs.try_run(&g, 4).unwrap();
     let trace = assert_spans_sum_to_ledger(&report);
     for phase in [Phase::SmemScatter, Phase::Tessellation, Phase::Epilogue] {
         assert!(
@@ -63,8 +67,10 @@ fn traced_2d_run_spans_sum_to_report_counters() {
 fn traced_3d_run_spans_sum_to_report_counters() {
     let mut g = Grid3D::new(8, 16, 24, 1);
     g.fill_random(3);
-    let cs = ConvStencil3D::new(Shape::Heat3D.kernel3d().unwrap()).with_tracing(true);
-    let (_, report) = cs.run(&g, 2);
+    let cs = ConvStencil3D::try_new(Shape::Heat3D.kernel3d().unwrap())
+        .unwrap()
+        .with_tracing(true);
+    let (_, report) = cs.try_run(&g, 2).unwrap();
     assert_spans_sum_to_ledger(&report);
 }
 
@@ -72,8 +78,8 @@ fn traced_3d_run_spans_sum_to_report_counters() {
 fn untraced_run_carries_no_trace() {
     let mut g = Grid2D::new(64, 64, 3);
     g.fill_random(1);
-    let cs = ConvStencil2D::new(Shape::Box2D9P.kernel2d().unwrap());
-    let (_, report) = cs.run(&g, 2);
+    let cs = ConvStencil2D::try_new(Shape::Box2D9P.kernel2d().unwrap()).unwrap();
+    let (_, report) = cs.try_run(&g, 2).unwrap();
     assert!(report.trace.is_none());
 }
 
@@ -81,7 +87,8 @@ fn untraced_run_carries_no_trace() {
 fn verified_run_with_faults_keeps_the_sum_invariant() {
     let mut g = Grid2D::new(64, 64, 3);
     g.fill_random(7);
-    let cs = ConvStencil2D::new(Shape::Heat2D.kernel2d().unwrap())
+    let cs = ConvStencil2D::try_new(Shape::Heat2D.kernel2d().unwrap())
+        .unwrap()
         .with_tracing(true)
         .with_fault_plan(FaultPlan::quiet(0xFA17).with_dmma_flip_rate(0.01));
     let cfg = VerifyConfig {
@@ -115,7 +122,8 @@ fn verified_run_with_faults_keeps_the_sum_invariant() {
 fn injected_launch_failures_appear_as_launch_fault_spans() {
     let mut g = Grid2D::new(64, 64, 3);
     g.fill_random(2);
-    let cs = ConvStencil2D::new(Shape::Heat2D.kernel2d().unwrap())
+    let cs = ConvStencil2D::try_new(Shape::Heat2D.kernel2d().unwrap())
+        .unwrap()
         .with_tracing(true)
         .with_fault_plan(FaultPlan::quiet(3).with_launch_fail_rate(1.0));
     let cfg = VerifyConfig {
@@ -141,8 +149,10 @@ fn injected_launch_failures_appear_as_launch_fault_spans() {
 fn trace_jsonl_round_trips_through_the_codec() {
     let mut g = Grid2D::new(96, 96, 3);
     g.fill_random(13);
-    let cs = ConvStencil2D::new(Shape::Box2D9P.kernel2d().unwrap()).with_tracing(true);
-    let (_, report) = cs.run(&g, 3);
+    let cs = ConvStencil2D::try_new(Shape::Box2D9P.kernel2d().unwrap())
+        .unwrap()
+        .with_tracing(true);
+    let (_, report) = cs.try_run(&g, 3).unwrap();
     let trace = report.trace.unwrap();
     let jsonl = trace.to_jsonl();
     assert_eq!(jsonl.lines().count(), trace.len());
@@ -162,8 +172,10 @@ fn trace_jsonl_round_trips_through_the_codec() {
 fn profile_total_row_is_the_run_ledger() {
     let mut g = Grid2D::new(96, 96, 3);
     g.fill_random(17);
-    let cs = ConvStencil2D::new(Shape::Box2D9P.kernel2d().unwrap()).with_tracing(true);
-    let (_, report) = cs.run(&g, 4);
+    let cs = ConvStencil2D::try_new(Shape::Box2D9P.kernel2d().unwrap())
+        .unwrap()
+        .with_tracing(true);
+    let (_, report) = cs.try_run(&g, 4).unwrap();
     let profile = Profile::from_trace(report.trace.as_ref().unwrap());
     assert_eq!(profile.total.counters, report.counters);
     let per_phase_dmma: u64 = profile.phases.iter().map(|p| p.counters.dmma_ops).sum();
@@ -214,9 +226,11 @@ fn phase_wall_time_is_measured_and_bounded_by_the_launch() {
 fn traced_run_phase_time_is_at_most_its_wall_time() {
     let mut g = Grid2D::new(128, 128, 3);
     g.fill_random(19);
-    let cs = ConvStencil2D::new(Shape::Box2D9P.kernel2d().unwrap()).with_tracing(true);
+    let cs = ConvStencil2D::try_new(Shape::Box2D9P.kernel2d().unwrap())
+        .unwrap()
+        .with_tracing(true);
     let start = Instant::now();
-    let (_, report) = cs.run(&g, 6);
+    let (_, report) = cs.try_run(&g, 6).unwrap();
     let run_ns = start.elapsed().as_nanos() as u64;
     let trace = assert_spans_sum_to_ledger(&report);
     let spans_ns = trace.total_wall_ns();
@@ -234,8 +248,8 @@ fn untraced_device_records_no_spans() {
     g.fill_random(23);
     let exec = Exec2D::new(&kernel, 64, 64, VariantConfig::conv_stencil());
     let mut dev = Device::a100();
-    let ext0 = exec.plan.build_ext(&g);
-    run_2d_applications(&mut dev, &exec, &ext0, 2);
+    let ext0 = exec.plan.try_build_ext(&g).unwrap();
+    try_run_2d_applications_bc(&mut dev, &exec, &ext0, 2, Boundary::Dirichlet).unwrap();
     assert!(dev.counters.dmma_ops > 0);
     assert!(dev.trace().is_empty());
 }
