@@ -169,10 +169,7 @@ impl Amos {
                     }
                 }
                 let mut acc = FragAcc::zero();
-                for (kc, f) in wb.iter().enumerate() {
-                    let frag = ctx.load_frag_a(4 * kc, krows);
-                    ctx.dmma(&frag, f, &mut acc);
-                }
+                ctx.mma_chain(0, krows, &wb, &mut acc);
                 // Column 0 holds the 8 results.
                 let mut waddrs = [INACTIVE; 32];
                 let mut vals = [0.0f64; 32];

@@ -487,15 +487,9 @@ impl Exec1D {
         for band in 0..bands {
             let mut acc = FragAcc::zero();
             let a_base = p.a_off + band * 8 * p.stride;
-            for (k, f) in wa.iter().enumerate() {
-                let frag = ctx.load_frag_a(a_base + 4 * k, p.stride);
-                ctx.dmma(&frag, f, &mut acc);
-            }
+            ctx.mma_chain(a_base, p.stride, &wa, &mut acc);
             let b_base = p.b_off + band * 8 * p.stride;
-            for (k, f) in wb.iter().enumerate() {
-                let frag = ctx.load_frag_a(b_base + 4 * k, p.stride);
-                ctx.dmma(&frag, f, &mut acc);
-            }
+            ctx.mma_chain(b_base, p.stride, &wb, &mut acc);
             for ga in 0..8 {
                 for j in 0..=nk {
                     out_vals[ga * (nk + 1) + j] = acc.get(ga, j);

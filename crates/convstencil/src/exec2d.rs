@@ -433,7 +433,6 @@ impl Exec2D {
         // scatter phase; the MMA loop below is the tessellation proper.
         let (wa_frags, wb_frags) = self.stage_weight_frags(ctx);
         ctx.phase(Phase::Tessellation);
-        let chunks = self.weights.krows / 4;
         let bands = p.block_groups / 8;
         // A tessellation band emits 8(nk+1) contiguous outputs; nk is
         // bounded far below 31 by shared-memory capacity, so a fixed
@@ -448,15 +447,9 @@ impl Exec2D {
             for band in 0..bands {
                 let mut acc = FragAcc::zero();
                 let a_base = lay.a_off + band * 8 * lay.stride + nk * xr;
-                for (k, wa) in wa_frags.iter().enumerate().take(chunks) {
-                    let frag = ctx.load_frag_a(a_base + 4 * k, lay.stride);
-                    ctx.dmma(&frag, wa, &mut acc);
-                }
+                ctx.mma_chain(a_base, lay.stride, &wa_frags, &mut acc);
                 let b_base = lay.b_off + band * 8 * lay.stride + nk * xr;
-                for (k, wb) in wb_frags.iter().enumerate().take(chunks) {
-                    let frag = ctx.load_frag_a(b_base + 4 * k, lay.stride);
-                    ctx.dmma(&frag, wb, &mut acc);
-                }
+                ctx.mma_chain(b_base, lay.stride, &wb_frags, &mut acc);
                 // Tessellation result: acc[ga][j], j in 0..=nk, is the
                 // output at column (bg·BG + band·8 + ga)(nk+1) + j.
                 for ga in 0..8 {

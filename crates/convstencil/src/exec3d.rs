@@ -581,15 +581,9 @@ impl Exec3D {
                 for (dz, wa, wb) in frags {
                     let off = self.slot_off[z_local + *dz];
                     let a_base = off + lay.a_off + band * 8 * lay.stride + nk * xr;
-                    for (k, f) in wa.iter().enumerate() {
-                        let frag = ctx.load_frag_a(a_base + 4 * k, lay.stride);
-                        ctx.dmma(&frag, f, &mut acc);
-                    }
+                    ctx.mma_chain(a_base, lay.stride, wa, &mut acc);
                     let b_base = off + lay.b_off + band * 8 * lay.stride + nk * xr;
-                    for (k, f) in wb.iter().enumerate() {
-                        let frag = ctx.load_frag_a(b_base + 4 * k, lay.stride);
-                        ctx.dmma(&frag, f, &mut acc);
-                    }
+                    ctx.mma_chain(b_base, lay.stride, wb, &mut acc);
                 }
                 for ga in 0..8 {
                     for j in 0..=nk {

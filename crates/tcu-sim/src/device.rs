@@ -16,7 +16,7 @@ use crate::cost::{CostBreakdown, CostModel, LaunchStats};
 use crate::counters::Counters;
 use crate::error::DeviceError;
 use crate::fault::{self, FaultPlan, FaultState};
-use crate::fragment::{dmma, hmma, FragA, FragAcc, FragB, Tile16};
+use crate::fragment::{dmma, hmma, mma_rows, FragA, FragAcc, FragB, Tile16};
 use crate::global::{contiguous_prefix, BufferId, GlobalMemory, INACTIVE};
 use crate::sanitize::{SanitizerReport, ShadowState};
 use crate::shared::SharedMemory;
@@ -1102,6 +1102,18 @@ impl BlockCtx<'_> {
         addrs: &[usize; 32],
         out: &mut [f64; 32],
     ) {
+        self.charge_frag_loads(is_b, stride, addrs, 1);
+        let data = self.shared.raw();
+        for (o, &a) in out.iter_mut().zip(addrs) {
+            *o = data[a];
+        }
+    }
+
+    /// Charge `n` fragment loads of one shape and row stride (`addrs` are
+    /// those of any one of them), with the two phase degrees served from
+    /// [`FragDegreeCache`]: exactly what `n` [`SharedMemory::load`] calls
+    /// would charge.
+    fn charge_frag_loads(&mut self, is_b: bool, stride: usize, addrs: &[usize; 32], n: u64) {
         let (d0, d1) = match self.frag_degrees.get(is_b, stride) {
             Some(d) => d,
             None => {
@@ -1115,13 +1127,9 @@ impl BlockCtx<'_> {
                 (d0, d1)
             }
         };
-        self.counters.shared_read_requests += 2;
-        self.counters.shared_read_conflicts += (d0 - 1) as u64 + (d1 - 1) as u64;
-        self.counters.shared_read_bytes += 8 * addrs.len() as u64;
-        let data = self.shared.raw();
-        for (o, &a) in out.iter_mut().zip(addrs) {
-            *o = data[a];
-        }
+        self.counters.shared_read_requests += 2 * n;
+        self.counters.shared_read_conflicts += n * ((d0 - 1) as u64 + (d1 - 1) as u64);
+        self.counters.shared_read_bytes += n * 8 * addrs.len() as u64;
     }
 
     // ---- Compute -------------------------------------------------------
@@ -1139,6 +1147,34 @@ impl BlockCtx<'_> {
                 self.counters.frag_faults_injected += 1;
             }
         }
+    }
+
+    /// A chain of `b.len()` MMAs over side-by-side `A` fragments of one
+    /// shared tile: fragment `k` is the 8x4 block at `a_base + 4 * k` with
+    /// row stride `row_stride`, multiplied by `b[k]` into `acc`. Outputs
+    /// and counters are exactly those of [`BlockCtx::load_frag_a`] then
+    /// [`BlockCtx::dmma`] for each k in turn. That loop is what runs when
+    /// accesses are observed, so the sanitizer sees every fragment load
+    /// and a fault plan draws once per DMMA. Otherwise the loads are
+    /// charged arithmetically (every fragment has the same conflict
+    /// degrees) and each accumulator row is multiplied straight from its
+    /// contiguous shared-memory row.
+    pub fn mma_chain(&mut self, a_base: usize, row_stride: usize, b: &[FragB], acc: &mut FragAcc) {
+        if self.observes_accesses() {
+            for (k, f) in b.iter().enumerate() {
+                let a = self.load_frag_a(a_base + 4 * k, row_stride);
+                self.dmma(&a, f, acc);
+            }
+            return;
+        }
+        if b.is_empty() {
+            return;
+        }
+        let n = b.len() as u64;
+        let addrs = FragA::load_addresses(a_base, row_stride);
+        self.charge_frag_loads(false, row_stride, &addrs, n);
+        self.counters.dmma_ops += n;
+        mma_rows(self.shared.raw(), a_base, row_stride, b, acc);
     }
 
     /// Issue one FP16-class `m16n16k16` MMA (TCStencil analog).

@@ -160,14 +160,69 @@ impl Default for FragAcc {
 /// instruction via [`crate::counters::Counters::dmma_ops`] (the
 /// [`crate::device::BlockCtx::dmma`] wrapper does both).
 pub fn dmma(a: &FragA, b: &FragB, acc: &mut FragAcc) {
-    for r in 0..8 {
-        for c in 0..8 {
-            let mut sum = acc.get(r, c);
-            for k in 0..4 {
-                sum += a.get(r, k) * b.get(k, c);
+    mma_rows(&a.data, 0, FragA::COLS, std::slice::from_ref(b), acc);
+}
+
+/// `acc += A * [b_0; b_1; ...]` for a chain of MMAs whose `A` fragments
+/// sit side by side: row r of the chained `A` is
+/// `a[a_base + r * row_stride..][..4 * b.len()]`. Each element adds its
+/// products one at a time in ascending k with no fused multiply-add, so a
+/// chain of n fragments gives the same bits as n back-to-back [`dmma`]
+/// calls. Looping k outside c keeps the 8-wide output row in registers
+/// and lets the inner loop vectorise.
+///
+/// Kept out of line so that every caller runs the same machine code:
+/// Rust leaves the sign and payload of a NaN result unspecified, and two
+/// inlined copies may order an add's operands differently.
+#[inline(never)]
+pub(crate) fn mma_rows(
+    a: &[f64],
+    a_base: usize,
+    row_stride: usize,
+    b: &[FragB],
+    acc: &mut FragAcc,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: the running CPU supports AVX, checked just above.
+        return unsafe { mma_rows_avx(a, a_base, row_stride, b, acc) };
+    }
+    mma_rows_body(a, a_base, row_stride, b, acc);
+}
+
+/// [`mma_rows`] compiled with 256-bit vectors. AVX multiplies and adds
+/// round exactly like the baseline SSE2 ones, and AVX implies no fused
+/// multiply-add, so every non-NaN result has the same bits.
+///
+/// # Safety
+/// The running CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn mma_rows_avx(
+    a: &[f64],
+    a_base: usize,
+    row_stride: usize,
+    b: &[FragB],
+    acc: &mut FragAcc,
+) {
+    mma_rows_body(a, a_base, row_stride, b, acc);
+}
+
+#[inline(always)]
+fn mma_rows_body(a: &[f64], a_base: usize, row_stride: usize, b: &[FragB], acc: &mut FragAcc) {
+    let width = FragA::COLS * b.len();
+    for (r, acc_row) in acc.data.chunks_exact_mut(FragAcc::COLS).enumerate() {
+        let start = a_base + r * row_stride;
+        let mut row = [0.0f64; FragAcc::COLS];
+        row.copy_from_slice(acc_row);
+        for (a4, f) in a[start..start + width].chunks_exact(FragA::COLS).zip(b) {
+            for (&x, b_row) in a4.iter().zip(f.data.chunks_exact(FragB::COLS)) {
+                for (sum, &y) in row.iter_mut().zip(b_row) {
+                    *sum += x * y;
+                }
             }
-            acc.set(r, c, sum);
         }
+        acc_row.copy_from_slice(&row);
     }
 }
 
@@ -270,30 +325,62 @@ mod tests {
         assert_eq!(acc.get(0, 0), 16.0);
     }
 
+    /// Bit for bit the naive product that adds to the accumulator in
+    /// ascending k (inputs whose sums round, so the order shows).
     #[test]
     fn dmma_matches_naive_matmul() {
-        let mut a = FragA::zero();
-        let mut b = FragB::zero();
-        for r in 0..8 {
-            for k in 0..4 {
-                a.set(r, k, (r as f64) * 0.5 + (k as f64) * 1.25 + 1.0);
-            }
-        }
-        for k in 0..4 {
-            for c in 0..8 {
-                b.set(k, c, (k as f64) * 2.0 - (c as f64) * 0.75);
-            }
-        }
-        let mut acc = FragAcc::zero();
+        let a = FragA {
+            data: std::array::from_fn(|i| (i as f64 * 0.7).sin()),
+        };
+        let b = FragB {
+            data: std::array::from_fn(|i| (i as f64 * 1.3).cos() * 3.0),
+        };
+        let start = FragAcc {
+            data: std::array::from_fn(|i| (i as f64 * 0.11).tan()),
+        };
+        let mut acc = start;
         dmma(&a, &b, &mut acc);
         for r in 0..8 {
             for c in 0..8 {
-                let mut expect = 0.0;
+                let mut expect = start.get(r, c);
                 for k in 0..4 {
                     expect += a.get(r, k) * b.get(k, c);
                 }
-                assert!((acc.get(r, c) - expect).abs() < 1e-12);
+                assert_eq!(acc.get(r, c).to_bits(), expect.to_bits());
             }
+        }
+    }
+
+    /// The run-time selected kernel (256-bit vectors where the CPU has
+    /// AVX) gives the bits of the baseline build, infinities and signed
+    /// zeros included, and NaN exactly where it does (a NaN's sign and
+    /// payload are unspecified in Rust).
+    #[test]
+    fn selected_mma_kernel_matches_baseline_kernel() {
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let value = |i: usize| match i % 11 {
+            0 => specials[(i / 11) % specials.len()],
+            _ => (i as f64 * 0.37).sin() * 5.0,
+        };
+        let a: Vec<f64> = (0..8 * 70).map(value).collect();
+        let b: Vec<FragB> = (0..16)
+            .map(|k| FragB {
+                data: std::array::from_fn(|i| value(1000 + 32 * k + i)),
+            })
+            .collect();
+        for n in 0..=16 {
+            let start = FragAcc {
+                data: std::array::from_fn(|i| value(5000 + i)),
+            };
+            let (mut selected, mut baseline) = (start, start);
+            mma_rows(&a, 3, 67, &b[..n], &mut selected);
+            mma_rows_body(&a, 3, 67, &b[..n], &mut baseline);
+            // Every NaN reads as the canonical one, which no other value has.
+            let bits = |acc: &FragAcc| {
+                acc.data
+                    .map(|v| if v.is_nan() { f64::NAN } else { v }.to_bits())
+            };
+            assert_eq!(bits(&selected), bits(&baseline), "chain of {n}");
         }
     }
 
