@@ -6,8 +6,9 @@
 //! outputs. One thread block covers 1024 outputs (Table 4's 1D block
 //! size) — 128 groups for `n_k = 7`.
 
+use crate::epilogue::write_row;
 use crate::error::ConvStencilError;
-use crate::plan::LUT_SKIP;
+use crate::plan::{copy_aligned, LUT_SKIP};
 use crate::scatter::{AccessLedger, LutScatter};
 use crate::stencil::run_applications;
 use crate::variants::VariantConfig;
@@ -135,21 +136,16 @@ impl Plan1D {
                 radius: self.radius,
             });
         }
+        // Ext column c holds padded cell c + h - lc.
         let mut ext = vec![0.0; self.ext_len];
-        for (c, e) in ext.iter_mut().enumerate() {
-            let py = (c + h).wrapping_sub(self.lc);
-            if py < grid.padded_len() {
-                *e = grid.padded()[py];
-            }
-        }
+        copy_aligned(&mut ext, self.lc, grid.padded(), h);
         Ok(ext)
     }
 
     /// Extract the interior from an extended array.
     pub fn extract_into(&self, ext: &[f64], grid: &mut stencil_core::Grid1D) {
-        for i in 0..self.n {
-            grid.set(i, ext[i + self.lc]);
-        }
+        let h = grid.halo();
+        grid.padded_mut()[h..h + self.n].copy_from_slice(&ext[self.lc..self.lc + self.n]);
     }
 }
 
@@ -388,8 +384,7 @@ impl Exec1D {
         explicit: Option<(BufferId, BufferId)>,
     ) -> Result<(), ConvStencilError> {
         let p = &self.plan;
-        dev.set_write_hint(p.block_groups * (p.nk + 1));
-        dev.try_launch(p.blocks, self.shared_len(), |bid, ctx| {
+        dev.try_launch_into(ext_out, p.blocks, self.shared_len(), |bid, ctx| {
             ctx.phase(Phase::SmemScatter);
             match explicit {
                 Some(bufs) => self.stage_from_global(ctx, bufs, bid),
@@ -496,7 +491,7 @@ impl Exec1D {
                 }
             }
             let y0 = (bid * p.block_groups + band * 8) * (nk + 1);
-            self.write_row(ctx, ext_out, y0, out_vals);
+            write_row(ctx, ext_out, p.lc, y0, p.n, out_vals);
         }
     }
 
@@ -524,34 +519,10 @@ impl Exec1D {
                     sums[l] += w * vals[l];
                 }
             }
-            self.write_row(ctx, ext_out, bid * out_width + yl0, &sums[..lanes]);
+            let y0 = bid * out_width + yl0;
+            write_row(ctx, ext_out, p.lc, y0, p.n, &sums[..lanes]);
             yl0 += lanes;
         }
-    }
-
-    fn write_row(&self, ctx: &mut BlockCtx, ext_out: BufferId, y0: usize, vals: &[f64]) {
-        let prev = ctx.phase(Phase::Epilogue);
-        let p = &self.plan;
-        let mut addrs = [INACTIVE; 32];
-        let mut i = 0usize;
-        while i < vals.len() {
-            let lanes = 32.min(vals.len() - i);
-            let mut any = false;
-            for l in 0..lanes {
-                let y = y0 + i + l;
-                addrs[l] = if y < p.n {
-                    any = true;
-                    p.lc + y
-                } else {
-                    INACTIVE
-                };
-            }
-            if any {
-                ctx.gmem_write_warp(ext_out, &addrs[..lanes], &vals[i..i + lanes]);
-            }
-            i += lanes;
-        }
-        ctx.phase(prev);
     }
 }
 

@@ -14,13 +14,14 @@
 //!    band: `2⌈n_k²/4⌉` `m8n8k4` MMAs against the register-resident weight
 //!    fragments (loaded once per block). Variants I/II replace this with
 //!    CUDA-core dot products over the same shared tiles.
-//! 3. **Write-back** — each tessellation's `8(n_k+1)` contiguous outputs
-//!    go to the extended output array with coalesced warp writes (lanes
-//!    beyond column `n` masked).
+//! 3. **Write-back** — each tessellation's `8(n_k+1)` contiguous outputs,
+//!    clipped at column `n`, go to the extended output array as one
+//!    coalesced span, written in place (see [`crate::epilogue`]).
 //!
 //! Variant I first materializes the full stencil2row matrices in global
 //! memory with a separate transform kernel, then computes from them.
 
+use crate::epilogue::write_row;
 use crate::error::ConvStencilError;
 use crate::plan::{Plan2D, ScatterLut};
 use crate::scatter::{AccessLedger, LutScatter};
@@ -302,8 +303,7 @@ impl Exec2D {
     ) -> Result<(), ConvStencilError> {
         let p = &self.plan;
         let num_blocks = p.num_blocks();
-        dev.set_write_hint(p.block_rows * p.block_groups * (p.nk + 1));
-        dev.try_launch(num_blocks, self.shared_len(), |bid, ctx| {
+        dev.try_launch_into(ext_out, num_blocks, self.shared_len(), |bid, ctx| {
             let bx = bid / p.blocks_g;
             let bg = bid % p.blocks_g;
             let rows_here = p.block_rows.min(p.m - bx * p.block_rows);
@@ -457,9 +457,9 @@ impl Exec2D {
                         out_vals[ga * (nk + 1) + j] = acc.get(ga, j);
                     }
                 }
-                let x = bx * p.block_rows + xr;
+                let row_base = p.ext_idx(bx * p.block_rows + xr, 0);
                 let y0 = (bg * p.block_groups + band * 8) * (nk + 1);
-                self.write_row(ctx, ext_out, x, y0, out_vals);
+                write_row(ctx, ext_out, row_base, y0, p.n, out_vals);
             }
         }
     }
@@ -504,40 +504,12 @@ impl Exec2D {
                         sums[l] += w * vals[l];
                     }
                 }
-                let x = bx * p.block_rows + xr;
+                let row_base = p.ext_idx(bx * p.block_rows + xr, 0);
                 let y0 = bg * p.block_groups * (nk + 1) + yl0;
-                self.write_row(ctx, ext_out, x, y0, &sums[..lanes]);
+                write_row(ctx, ext_out, row_base, y0, p.n, &sums[..lanes]);
                 yl0 += lanes;
             }
         }
-    }
-
-    /// Write `vals` to output row `x`, starting at output column `y0`,
-    /// masking lanes at or beyond column `n`.
-    fn write_row(&self, ctx: &mut BlockCtx, ext_out: BufferId, x: usize, y0: usize, vals: &[f64]) {
-        let prev = ctx.phase(Phase::Epilogue);
-        let p = &self.plan;
-        let ext_row = x + p.lr;
-        let mut addrs = [INACTIVE; 32];
-        let mut i = 0usize;
-        while i < vals.len() {
-            let lanes = 32.min(vals.len() - i);
-            let mut any = false;
-            for l in 0..lanes {
-                let y = y0 + i + l;
-                addrs[l] = if y < p.n {
-                    any = true;
-                    ext_row * p.ext_cols + p.lc + y
-                } else {
-                    INACTIVE
-                };
-            }
-            if any {
-                ctx.gmem_write_warp(ext_out, &addrs[..lanes], &vals[i..i + lanes]);
-            }
-            i += lanes;
-        }
-        ctx.phase(prev);
     }
 }
 

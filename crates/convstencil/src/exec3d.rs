@@ -12,6 +12,7 @@
 //! simulated CUDA cores and added to the Tensor-Core result, while the
 //! dense center plane goes through dual tessellation.
 
+use crate::epilogue::write_row;
 use crate::error::ConvStencilError;
 use crate::plan::{Plan2D, ScatterLut};
 use crate::scatter::{AccessLedger, LutScatter};
@@ -388,15 +389,16 @@ impl Exec3D {
                 radius: self.radius,
             });
         }
-        let mut ext = vec![0.0; self.ext_planes() * self.plane_size()];
-        for p in 0..self.ext_planes() {
+        // Ext plane p holds padded plane p + h - radius.
+        let ps = self.plane_size();
+        let pcols = grid.padded_cols();
+        let grid_ps = grid.padded_rows() * pcols;
+        let mut ext = vec![0.0; self.ext_planes() * ps];
+        for (p, ext_plane) in ext.chunks_exact_mut(ps).enumerate() {
             let pz = p + h - self.radius;
-            if pz >= grid.padded_depth() {
-                continue;
+            if let Some(plane) = grid.padded().get(pz * grid_ps..(pz + 1) * grid_ps) {
+                self.plane_plan.fill_ext_plane(ext_plane, plane, pcols, h);
             }
-            let plane2d = grid.padded_plane_as_grid2d(pz);
-            let plane_ext = self.plane_plan.try_build_ext(&plane2d)?;
-            ext[p * self.plane_size()..(p + 1) * self.plane_size()].copy_from_slice(&plane_ext);
         }
         Ok(ext)
     }
@@ -404,13 +406,12 @@ impl Exec3D {
     /// Extract the interior into `grid`.
     pub fn extract_into(&self, ext: &[f64], grid: &mut Grid3D) {
         let ps = self.plane_size();
+        let (pcols, h) = (grid.padded_cols(), grid.halo());
+        let grid_ps = grid.padded_rows() * pcols;
         for z in 0..self.d {
             let plane = &ext[(z + self.radius) * ps..(z + self.radius + 1) * ps];
-            for x in 0..self.plane_plan.m {
-                for y in 0..self.plane_plan.n {
-                    grid.set(z, x, y, plane[self.plane_plan.ext_idx(x, y)]);
-                }
-            }
+            let dst = &mut grid.padded_mut()[(z + h) * grid_ps..(z + h + 1) * grid_ps];
+            self.plane_plan.extract_plane(plane, dst, pcols, h);
         }
     }
 
@@ -434,8 +435,7 @@ impl Exec3D {
         let z_blocks = self.d.div_ceil(self.bz);
         let num_blocks = z_blocks * blocks_per_plane;
         let ps = self.plane_size();
-        dev.set_write_hint(self.bz * p.block_rows * p.block_groups * (p.nk + 1));
-        dev.try_launch(num_blocks, self.shared_len(), |bid, ctx| {
+        dev.try_launch_into(ext_out, num_blocks, self.shared_len(), |bid, ctx| {
             let zb = bid / blocks_per_plane;
             let rem = bid % blocks_per_plane;
             let bx = rem / p.blocks_g;
@@ -620,31 +620,9 @@ impl Exec3D {
                     }
                 }
                 // Write back into the output plane.
-                let prev = ctx.phase(Phase::Epilogue);
-                let x = bx * p.block_rows + xr;
-                let ext_row = x + p.lr;
+                let row_base = (z + self.radius) * ps + p.ext_idx(bx * p.block_rows + xr, 0);
                 let y0 = (bg * p.block_groups + band * 8) * (nk + 1);
-                let out_plane = (z + self.radius) * ps;
-                let mut i = 0usize;
-                let mut waddrs = [INACTIVE; 32];
-                while i < band_width {
-                    let lanes = 32.min(band_width - i);
-                    let mut any = false;
-                    for l in 0..lanes {
-                        let y = y0 + i + l;
-                        waddrs[l] = if y < p.n {
-                            any = true;
-                            out_plane + ext_row * p.ext_cols + p.lc + y
-                        } else {
-                            INACTIVE
-                        };
-                    }
-                    if any {
-                        ctx.gmem_write_warp(ext_out, &waddrs[..lanes], &out_vals[i..i + lanes]);
-                    }
-                    i += lanes;
-                }
-                ctx.phase(prev);
+                write_row(ctx, ext_out, row_base, y0, p.n, out_vals);
             }
         }
     }

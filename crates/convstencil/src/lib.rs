@@ -19,6 +19,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod api;
+mod epilogue;
 pub mod error;
 pub mod exec1d;
 pub mod exec2d;

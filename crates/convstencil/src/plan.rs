@@ -299,30 +299,37 @@ impl Plan2D {
             });
         }
         let mut ext = vec![0.0; self.ext_rows * self.ext_cols];
-        let (prows, pcols) = (grid.padded_rows(), grid.padded_cols());
-        for r in 0..self.ext_rows {
+        self.fill_ext_plane(&mut ext, grid.padded(), grid.padded_cols(), h);
+        Ok(ext)
+    }
+
+    /// Copy a padded plane with `pcols` columns and halo `h` into the
+    /// zeroed extended plane `ext`, one row slice at a time: ext row `r`
+    /// holds padded row `r + h - radius`, and ext column `c` padded column
+    /// `c + h - lc`. Cells outside the padded plane stay zero.
+    pub(crate) fn fill_ext_plane(&self, ext: &mut [f64], padded: &[f64], pcols: usize, h: usize) {
+        for (r, ext_row) in ext.chunks_exact_mut(self.ext_cols).enumerate() {
             let px = r + h - self.radius;
-            if px >= prows {
-                continue;
-            }
-            for c in 0..self.ext_cols {
-                // ext col c corresponds to grid padded col c + h - lc.
-                let py = (c + h).wrapping_sub(self.lc);
-                if py < pcols {
-                    ext[r * self.ext_cols + c] = grid.padded()[px * pcols + py];
-                }
+            if let Some(row) = padded.get(px * pcols..(px + 1) * pcols) {
+                copy_aligned(ext_row, self.lc, row, h);
             }
         }
-        Ok(ext)
     }
 
     /// Extract the interior from an extended array into `grid`.
     pub fn extract_into(&self, ext: &[f64], grid: &mut Grid2D) {
         assert_eq!(ext.len(), self.ext_rows * self.ext_cols);
+        let (pcols, h) = (grid.padded_cols(), grid.halo());
+        self.extract_plane(ext, grid.padded_mut(), pcols, h);
+    }
+
+    /// Copy the interior rows of the extended plane `ext` into a padded
+    /// plane with `pcols` columns and halo `h`, one row slice at a time.
+    pub(crate) fn extract_plane(&self, ext: &[f64], padded: &mut [f64], pcols: usize, h: usize) {
         for x in 0..self.m {
-            for y in 0..self.n {
-                grid.set(x, y, ext[self.ext_idx(x, y)]);
-            }
+            let dst = (x + h) * pcols + h;
+            let src = self.ext_idx(x, 0);
+            padded[dst..dst + self.n].copy_from_slice(&ext[src..src + self.n]);
         }
     }
 
@@ -422,6 +429,16 @@ impl ScatterLut {
     }
 }
 
+/// `dst[c] = src[c + from - to]` for every `c` where both exist: one row
+/// copy between two layouts whose column `to` of `dst` and column `from`
+/// of `src` hold the same cell.
+pub(crate) fn copy_aligned(dst: &mut [f64], to: usize, src: &[f64], from: usize) {
+    let lead = to.min(from);
+    let (dst, src) = (&mut dst[to - lead..], &src[from - lead..]);
+    let len = dst.len().min(src.len());
+    dst[..len].copy_from_slice(&src[..len]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,6 +446,27 @@ mod tests {
 
     fn v5() -> VariantConfig {
         VariantConfig::conv_stencil()
+    }
+
+    #[test]
+    fn copy_aligned_matches_the_per_cell_shift() {
+        let src: Vec<f64> = (0..9).map(|i| i as f64 + 0.5).collect();
+        for dst_len in [0, 4, 9, 14] {
+            for to in 0..dst_len.max(1) {
+                for from in 0..src.len() {
+                    let mut got = vec![-1.0; dst_len];
+                    copy_aligned(&mut got, to, &src, from);
+                    let want: Vec<f64> = (0..dst_len)
+                        .map(|c| {
+                            src.get((c + from).wrapping_sub(to))
+                                .copied()
+                                .unwrap_or(-1.0)
+                        })
+                        .collect();
+                    assert_eq!(got, want, "dst_len {dst_len} to {to} from {from}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -332,17 +332,6 @@ impl Grid3D {
         &mut self.data
     }
 
-    /// Extract padded plane `pz` as a 2D padded array (used by the 3D→2D
-    /// decomposition). The result is a `Grid2D` with the same halo whose
-    /// *padded* storage equals this grid's plane `pz`.
-    pub fn padded_plane_as_grid2d(&self, pz: usize) -> Grid2D {
-        let mut g = Grid2D::new(self.m, self.n, self.halo);
-        let start = pz * self.plane_stride();
-        g.padded_mut()
-            .copy_from_slice(&self.data[start..start + self.plane_stride()]);
-        g
-    }
-
     pub fn interior(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.points());
         for z in 0..self.d {
@@ -518,21 +507,6 @@ mod tests {
         let g2 = g.with_halo(3);
         assert_eq!(g.interior(), g2.interior());
         assert_eq!(g2.halo(), 3);
-    }
-
-    #[test]
-    fn grid3d_plane_extraction_matches_direct_reads() {
-        let mut g = Grid3D::new(3, 4, 5, 1);
-        g.fill_random(42);
-        let pz = 2; // padded plane index (interior z = 1)
-        let plane = g.padded_plane_as_grid2d(pz);
-        for x in 0..4 {
-            for y in 0..5 {
-                assert_eq!(plane.get(x, y), g.get(1, x, y));
-            }
-        }
-        // Halo carried over too.
-        assert_eq!(plane.padded()[0], g.padded()[g.padded_idx(pz, 0, 0)]);
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //!   whenever `halo >= t * radius`. This is the semantic used to verify
 //!   temporal kernel fusion (fused kernel ≡ `t` exact steps).
 //!
-//! Rows are processed in parallel with rayon (the session's HPC guides);
-//! results are deterministic because each output cell is written once.
+//! Each output cell is written once, from the previous step's grid only,
+//! so the order rows are processed in does not affect the result.
 
 use crate::grid::{Grid1D, Grid2D, Grid3D};
 use crate::kernel::{Kernel1D, Kernel2D, Kernel3D};
-use rayon::prelude::*;
 
 /// One frozen-halo step: `dst` interior = kernel applied to `src`.
 pub fn step1d(src: &Grid1D, dst: &mut Grid1D, k: &Kernel1D) {
@@ -55,14 +54,14 @@ pub fn step2d(src: &Grid2D, dst: &mut Grid2D, k: &Kernel2D) {
     let halo = src.halo();
     let src_data = src.padded();
 
-    // Split destination interior by rows for parallelism.
+    // Walk the destination interior row by row.
     let dst_halo = dst.halo();
     let dst_pcols = dst.padded_cols();
     let rows = dst.rows();
     let data = dst.padded_mut();
     // Interior row x occupies padded row x + halo; skip top halo rows and
     // chunk the rest by padded row.
-    data.par_chunks_mut(dst_pcols)
+    data.chunks_mut(dst_pcols)
         .skip(dst_halo)
         .take(rows)
         .enumerate()
@@ -108,7 +107,7 @@ pub fn step3d(src: &Grid3D, dst: &mut Grid3D, k: &Kernel3D) {
 
     let dst_pcols = pcols;
     let data = dst.padded_mut();
-    data.par_chunks_mut(plane)
+    data.chunks_mut(plane)
         .skip(halo)
         .take(d)
         .enumerate()

@@ -151,7 +151,7 @@ impl Counters {
     }
 
     /// Merge another ledger into this one (used when reducing per-block
-    /// ledgers after a parallel launch).
+    /// ledgers after a launch).
     pub fn merge(&mut self, other: &Counters) {
         *self += *other;
     }

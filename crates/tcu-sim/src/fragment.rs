@@ -168,8 +168,9 @@ pub fn dmma(a: &FragA, b: &FragB, acc: &mut FragAcc) {
 /// `a[a_base + r * row_stride..][..4 * b.len()]`. Each element adds its
 /// products one at a time in ascending k with no fused multiply-add, so a
 /// chain of n fragments gives the same bits as n back-to-back [`dmma`]
-/// calls. Looping k outside c keeps the 8-wide output row in registers
-/// and lets the inner loop vectorise.
+/// calls. Looping k outside c keeps the output rows in registers and lets
+/// the inner loop vectorise; [`MMA_ROW_BLOCK`] rows advance together per
+/// k, so their adds are independent and do not wait on each other.
 ///
 /// Kept out of line so that every caller runs the same machine code:
 /// Rust leaves the sign and payload of a NaN result unspecified, and two
@@ -208,21 +209,36 @@ unsafe fn mma_rows_avx(
     mma_rows_body(a, a_base, row_stride, b, acc);
 }
 
+/// Output rows [`mma_rows`] carries through one k step: 4 rows of 8 f64
+/// are 8 independent 256-bit accumulators.
+const MMA_ROW_BLOCK: usize = 4;
+
 #[inline(always)]
 fn mma_rows_body(a: &[f64], a_base: usize, row_stride: usize, b: &[FragB], acc: &mut FragAcc) {
+    const C: usize = FragAcc::COLS;
     let width = FragA::COLS * b.len();
-    for (r, acc_row) in acc.data.chunks_exact_mut(FragAcc::COLS).enumerate() {
-        let start = a_base + r * row_stride;
-        let mut row = [0.0f64; FragAcc::COLS];
-        row.copy_from_slice(acc_row);
-        for (a4, f) in a[start..start + width].chunks_exact(FragA::COLS).zip(b) {
-            for (&x, b_row) in a4.iter().zip(f.data.chunks_exact(FragB::COLS)) {
-                for (sum, &y) in row.iter_mut().zip(b_row) {
-                    *sum += x * y;
+    for (blk, acc_rows) in acc.data.chunks_exact_mut(MMA_ROW_BLOCK * C).enumerate() {
+        let mut rows = [[0.0f64; C]; MMA_ROW_BLOCK];
+        let mut a_rows: [&[f64]; MMA_ROW_BLOCK] = [&[]; MMA_ROW_BLOCK];
+        for (i, (row, acc_row)) in rows.iter_mut().zip(acc_rows.chunks_exact(C)).enumerate() {
+            row.copy_from_slice(acc_row);
+            let start = a_base + (blk * MMA_ROW_BLOCK + i) * row_stride;
+            a_rows[i] = &a[start..start + width];
+        }
+        for (f, frag) in b.iter().enumerate() {
+            for (kk, b_row) in frag.data.chunks_exact(FragB::COLS).enumerate() {
+                let k = FragA::COLS * f + kk;
+                for (row, a_row) in rows.iter_mut().zip(&a_rows) {
+                    let x = a_row[k];
+                    for (sum, &y) in row.iter_mut().zip(b_row) {
+                        *sum += x * y;
+                    }
                 }
             }
         }
-        acc_row.copy_from_slice(&row);
+        for (row, acc_row) in rows.iter().zip(acc_rows.chunks_exact_mut(C)) {
+            acc_row.copy_from_slice(row);
+        }
     }
 }
 

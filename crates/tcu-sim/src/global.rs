@@ -164,6 +164,11 @@ impl GlobalMemory {
         std::mem::take(&mut self.buffers[id.0])
     }
 
+    /// Put back contents moved out with [`GlobalMemory::take`].
+    pub(crate) fn restore(&mut self, id: BufferId, data: Vec<f64>) {
+        self.buffers[id.0] = data;
+    }
+
     /// Account a warp-level write (values are buffered by the caller until
     /// the launch retires; this only does the event accounting).
     pub(crate) fn account_write(

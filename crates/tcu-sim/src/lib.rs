@@ -25,9 +25,10 @@
 //!   each launch decomposed into spans with exact counter attribution,
 //!   modelled span time, and host wall-clock; JSONL export.
 //! * **Device & launch** ([`device`]): kernels as closures over a
-//!   [`device::BlockCtx`]; blocks execute in parallel under rayon with
+//!   [`device::BlockCtx`]; blocks execute one after another with
 //!   deterministic, GPU-faithful semantics (reads see pre-launch state,
-//!   writes retire at launch end).
+//!   writes retire at launch end, or land in place in a declared output
+//!   the launch never reads).
 //!
 //! The simulator is *functional + event-counting*: algorithm outputs are
 //! numerically real (verified against CPU references) and performance is
