@@ -4,6 +4,7 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where CSV artifacts go (created on demand).
 pub const RESULTS_DIR: &str = "results";
@@ -24,18 +25,60 @@ fn escape(cell: &str) -> String {
     }
 }
 
-/// Write `contents` to `path` by writing a sibling `<path>.tmp` and
-/// renaming it over the target, so a crash mid-write never leaves a
-/// truncated artifact and concurrent readers see old-or-new, not partial.
+/// Per-process counter that, with the pid, makes every temp name unique.
+/// `Relaxed` is enough: the value publishes no other data.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Write `contents` to `path` durably and atomically: write a uniquely
+/// named sibling `<path>.<pid>.<seq>.tmp`, fsync it, rename it over the
+/// target, then fsync the parent directory so the rename itself survives
+/// a crash. A crash mid-write never leaves a truncated artifact, readers
+/// see old-or-new, concurrent writers never share a temp file, and a
+/// stale temp file from a crashed writer is never reused. The temp name
+/// ends in `.tmp`, so scanners that match the target's extension (the
+/// checkpoint loader matches `.ckpt`) never pick it up. On any error the
+/// temp file is removed.
 pub fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
     let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = PathBuf::from(tmp_name);
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(contents.as_bytes())?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)?;
+    // `create_new`: a temp name that already exists belongs to someone
+    // else, so fail rather than write into (or later remove) their file.
+    let file = std::fs::OpenOptions::new()
+        .write(true)
+        .create_new(true)
+        .open(&tmp)?;
+    if let Err(e) = write_and_rename(file, contents, &tmp, path) {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(e);
+    }
+    sync_parent_dir(path)
+}
+
+fn write_and_rename(
+    mut file: std::fs::File,
+    contents: &str,
+    tmp: &Path,
+    path: &Path,
+) -> std::io::Result<()> {
+    file.write_all(contents.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(tmp, path)
+}
+
+/// Fsync the directory holding `path`, making a rename into it durable.
+/// Directories cannot be opened for syncing on every platform, so this is
+/// a no-op off Unix.
+fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
+    if cfg!(unix) {
+        let dir = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
     Ok(())
 }
 
@@ -96,10 +139,14 @@ mod tests {
         let path = write_csv("unit_test", &rows).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         // The temp file must be gone: write_csv publishes via rename.
-        let leftover = path.with_file_name("unit_test.csv.tmp").exists();
+        let entries = dir_entries(path.parent().unwrap());
         std::env::set_current_dir(old).unwrap();
         assert_eq!(content, "a,b\n1,\"x,y\"\n");
-        assert!(!leftover, "atomic rename left the temp file behind");
+        assert_eq!(
+            entries,
+            ["unit_test.csv"],
+            "atomic rename left the temp file behind"
+        );
     }
 
     #[test]
@@ -111,6 +158,80 @@ mod tests {
         atomic_write(&path, "first\n").unwrap();
         atomic_write(&path, "second\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
-        assert!(!dir.join("artifact.txt.tmp").exists());
+        assert_eq!(dir_entries(&dir), ["artifact.txt"], "temp file left behind");
+    }
+
+    fn dir_entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn concurrent_writers_leave_one_complete_file_and_no_temp() {
+        let dir =
+            std::env::temp_dir().join(format!("convstencil_atomic_race_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("shared.ckpt");
+        // Each writer's content is one repeated letter, so a torn or
+        // interleaved file is easy to spot.
+        let contents: Vec<String> = (0..4u8)
+            .map(|i| char::from(b'a' + i).to_string().repeat(64 * 1024))
+            .collect();
+        // The barrier releases every writer at once each round, so their
+        // writes and renames race on one target path.
+        let barrier = std::sync::Barrier::new(contents.len());
+        std::thread::scope(|scope| {
+            for content in &contents {
+                let (path, barrier) = (&path, &barrier);
+                scope.spawn(move || {
+                    for _ in 0..5 {
+                        barrier.wait();
+                        atomic_write(path, content).unwrap();
+                    }
+                });
+            }
+        });
+        let got = std::fs::read_to_string(&path).unwrap();
+        assert!(contents.contains(&got), "torn file of {} bytes", got.len());
+        assert_eq!(dir_entries(&dir), ["shared.ckpt"], "temp file left behind");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_temp_from_a_crashed_writer_does_not_break_the_next_write() {
+        let dir =
+            std::env::temp_dir().join(format!("convstencil_atomic_stale_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("artifact.csv");
+        // A directory in the old fixed temp slot cannot even be opened as
+        // a file; a stale temp file is left for its owner to clean up.
+        std::fs::create_dir(dir.join("artifact.csv.tmp")).unwrap();
+        std::fs::write(dir.join("artifact.csv.1.0.tmp"), "torn").unwrap();
+        atomic_write(&path, "fresh\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "fresh\n");
+        assert_eq!(
+            dir_entries(&dir),
+            ["artifact.csv", "artifact.csv.1.0.tmp", "artifact.csv.tmp"]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_rename_removes_the_temp_file() {
+        let dir =
+            std::env::temp_dir().join(format!("convstencil_atomic_fail_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("target/occupied")).unwrap();
+        // Renaming a file over a non-empty directory fails.
+        let err = atomic_write(&dir.join("target"), "data").unwrap_err();
+        assert_ne!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+        assert_eq!(dir_entries(&dir), ["target"], "temp file left behind");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

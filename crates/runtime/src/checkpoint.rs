@@ -24,16 +24,30 @@
 //! [`crate::crc64`]). Floats travel as `f64::to_bits` hex so the round
 //! trip is bit-exact, including NaNs and signed zeros.
 //!
+//! ## Codec
+//!
+//! Nearly all of a file is the `grid_data` list: 17 bytes (16 lowercase
+//! hex digits and a `,`) per grid point. [`Checkpoint::encode`] builds the
+//! payload once in a byte buffer, writing each list through a nibble →
+//! ASCII table into a region pre-sized to `17·n`, and then prepends the
+//! header with a single copy. [`Checkpoint::decode`] reads a list that is
+//! a whole number of 17-byte strides through a 256-entry `UNHEX` table,
+//! checking every digit and separator; any other list goes through the
+//! generic `split(',')` + `u64::from_str_radix` parser, so the accepted
+//! inputs and the error messages are those of the generic parser.
+//! `tests/checkpoint_wire.rs` pins the bytes against a committed fixture.
+//!
 //! ## Crash consistency
 //!
-//! Files are written with the bench crate's `atomic_write` (temp file +
-//! fsync + atomic rename — the PR 2 artifact pattern), so a crash at any
-//! point leaves either the previous checkpoint or the complete new one,
-//! never a torn file. The loader scans a directory, tries newest-first,
-//! and skips corrupt or truncated files with a warning instead of
-//! failing the resume.
+//! Files are written with the bench crate's `atomic_write` (uniquely
+//! named temp file + fsync + atomic rename + directory fsync), so a crash
+//! at any point leaves either the previous checkpoint or the complete new
+//! one, never a torn file. Temp names end in `.tmp`, never in `.ckpt`, so
+//! the loader never picks one up. The loader scans a directory, tries
+//! newest-first, and skips corrupt or truncated files with a warning
+//! instead of failing the resume.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::breaker::BreakerState;
@@ -105,19 +119,57 @@ pub struct Checkpoint {
     pub devices: Vec<DeviceCursor>,
 }
 
-fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// Nibble → lowercase ASCII hex digit.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a non-hex byte in [`UNHEX`].
+const INVALID: u8 = 0x80;
+
+/// ASCII byte → nibble, or [`INVALID`]. Accepts both cases, like
+/// `u64::from_str_radix(_, 16)`.
+const UNHEX: [u8; 256] = {
+    let mut table = [INVALID; 256];
+    let mut i = 0;
+    while i < 10 {
+        table[b'0' as usize + i] = i as u8;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 6 {
+        table[b'a' as usize + i] = 10 + i as u8;
+        table[b'A' as usize + i] = 10 + i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The 16 hex digits of `v`'s bit pattern, most significant first.
+fn hex16(v: f64, digits: &mut [u8]) {
+    let bits = v.to_bits();
+    for (i, d) in digits[..16].iter_mut().enumerate() {
+        *d = HEX[((bits >> (60 - 4 * i)) & 0xF) as usize];
+    }
 }
 
-fn hex_f64_list(vs: &[f64]) -> String {
-    let mut out = String::with_capacity(vs.len() * 17);
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{:016x}", v.to_bits());
+/// Append `vs` as a `,`-separated hex line ending in `\n`.
+fn push_hex_f64_line(out: &mut Vec<u8>, vs: &[f64]) {
+    if vs.is_empty() {
+        out.push(b'\n');
+        return;
     }
-    out
+    let start = out.len();
+    out.resize(start + 17 * vs.len(), b',');
+    for (stride, &v) in out[start..].chunks_exact_mut(17).zip(vs) {
+        hex16(v, stride);
+    }
+    *out.last_mut().expect("non-empty list") = b'\n';
+}
+
+/// Append one `f64` bit pattern as 16 hex digits.
+fn push_hex_f64(out: &mut Vec<u8>, v: f64) {
+    let mut digits = [0u8; 16];
+    hex16(v, &mut digits);
+    out.extend_from_slice(&digits);
 }
 
 fn read_err(path: &Path, reason: impl Into<String>) -> ConvStencilError {
@@ -170,7 +222,49 @@ fn parse_f64_list(key: &'static str, s: &str) -> FieldResult<Vec<f64>> {
     if s.is_empty() {
         return Ok(Vec::new());
     }
+    match parse_hex_strides(s.as_bytes()) {
+        Some(vs) => Ok(vs),
+        None => parse_f64_tokens(key, s),
+    }
+}
+
+/// The generic list parser: any `,`-separated tokens `from_str_radix`
+/// accepts.
+fn parse_f64_tokens(key: &'static str, s: &str) -> FieldResult<Vec<f64>> {
     s.split(',').map(|tok| parse_f64_bits(key, tok)).collect()
+}
+
+/// Fast path for the list [`push_hex_f64_line`] writes: 16 hex digits per
+/// token, one `,` between tokens. `None` for anything else, including any
+/// invalid digit or separator, so the generic parser decides whether the
+/// list is accepted and what the error says.
+fn parse_hex_strides(s: &[u8]) -> Option<Vec<f64>> {
+    if !(s.len() + 1).is_multiple_of(17) {
+        return None;
+    }
+    let mut out = Vec::with_capacity((s.len() + 1) / 17);
+    // OR of every digit's table entry and every separator's verdict: the
+    // list is valid exactly when no INVALID bit was ever set. Invalid
+    // entries also pollute `bits`, which is then discarded.
+    let mut bad = 0u8;
+    let mut strides = s.chunks_exact(17);
+    for stride in &mut strides {
+        bad |= if stride[16] == b',' { 0 } else { INVALID };
+        out.push(unhex16(&stride[..16], &mut bad));
+    }
+    out.push(unhex16(strides.remainder(), &mut bad));
+    (bad & INVALID == 0).then_some(out)
+}
+
+/// Decode 16 hex digits, OR-ing their table entries into `bad`.
+fn unhex16(digits: &[u8], bad: &mut u8) -> f64 {
+    let mut bits = 0u64;
+    for &c in &digits[..16] {
+        let d = UNHEX[c as usize];
+        *bad |= d;
+        bits = bits << 4 | u64::from(d);
+    }
+    f64::from_bits(bits)
 }
 
 fn parse_bool(key: &'static str, s: &str) -> FieldResult<bool> {
@@ -181,29 +275,29 @@ fn parse_bool(key: &'static str, s: &str) -> FieldResult<bool> {
     }
 }
 
-fn encode_plan(plan: &Option<FaultPlan>) -> String {
-    match plan {
-        None => "-".to_string(),
-        Some(p) => {
-            let die = p.die_at_launch.map_or("-".to_string(), |d| d.to_string());
-            let ecc = p
-                .ecc_burst
-                .map_or("-".to_string(), |b| format!("{}/{}", b.start, b.len));
-            let hang = p.hang.map_or("-".to_string(), |h| {
-                format!("{}/{}", h.at_launch, h.stall_cycles)
-            });
-            format!(
-                "seed:{} dmma:{} smem:{} lfail:{} die:{} ecc:{} hang:{}",
-                p.seed,
-                hex_f64(p.dmma_flip_rate),
-                hex_f64(p.smem_corrupt_rate),
-                hex_f64(p.launch_fail_rate),
-                die,
-                ecc,
-                hang,
-            )
-        }
-    }
+fn encode_plan(out: &mut Vec<u8>, plan: &Option<FaultPlan>) {
+    let Some(p) = plan else {
+        out.push(b'-');
+        return;
+    };
+    let _ = write!(out, "seed:{} dmma:", p.seed);
+    push_hex_f64(out, p.dmma_flip_rate);
+    out.extend_from_slice(b" smem:");
+    push_hex_f64(out, p.smem_corrupt_rate);
+    out.extend_from_slice(b" lfail:");
+    push_hex_f64(out, p.launch_fail_rate);
+    let _ = match p.die_at_launch {
+        Some(d) => write!(out, " die:{d}"),
+        None => write!(out, " die:-"),
+    };
+    let _ = match p.ecc_burst {
+        Some(b) => write!(out, " ecc:{}/{}", b.start, b.len),
+        None => write!(out, " ecc:-"),
+    };
+    let _ = match p.hang {
+        Some(h) => write!(out, " hang:{}/{}", h.at_launch, h.stall_cycles),
+        None => write!(out, " hang:-"),
+    };
 }
 
 fn decode_plan(s: &str) -> FieldResult<Option<FaultPlan>> {
@@ -286,9 +380,16 @@ fn decode_breaker(s: &str) -> FieldResult<BreakerState> {
         why: format!("bad breaker state {s:?}"),
     })?;
     match k {
-        "closed" => Ok(BreakerState::Closed {
-            consecutive_failures: parse_u64(KEY, v)? as u32,
-        }),
+        "closed" => {
+            let n = parse_u64(KEY, v)?;
+            let consecutive_failures = u32::try_from(n).map_err(|_| FieldError {
+                key: KEY,
+                why: format!("failure count {n} does not fit in 32 bits"),
+            })?;
+            Ok(BreakerState::Closed {
+                consecutive_failures,
+            })
+        }
         "open" => Ok(BreakerState::Open {
             until_jobs: parse_u64(KEY, v)?,
         }),
@@ -304,11 +405,13 @@ impl Checkpoint {
 
     /// Serialize to the wire format (header + payload).
     pub fn encode(&self) -> String {
-        let mut p = String::new();
+        let lists = self.grid_data.len() + self.weights.len();
+        let mut p: Vec<u8> = Vec::with_capacity(17 * lists + 4096);
         let _ = writeln!(p, "job={}", self.job);
         let _ = writeln!(p, "dim={}", self.dim);
         let _ = writeln!(p, "radius={}", self.radius);
-        let _ = writeln!(p, "weights={}", hex_f64_list(&self.weights));
+        p.extend_from_slice(b"weights=");
+        push_hex_f64_line(&mut p, &self.weights);
         let _ = writeln!(p, "fusion={}", self.fusion);
         let _ = writeln!(p, "boundary={}", self.boundary);
         let _ = writeln!(
@@ -342,7 +445,8 @@ impl Checkpoint {
                 .join(",")
         );
         let _ = writeln!(p, "grid_halo={}", self.grid_halo);
-        let _ = writeln!(p, "grid_data={}", hex_f64_list(&self.grid_data));
+        p.extend_from_slice(b"grid_data=");
+        push_hex_f64_line(&mut p, &self.grid_data);
         let _ = writeln!(
             p,
             "counters={}",
@@ -400,22 +504,28 @@ impl Checkpoint {
             );
         }
         for d in &self.devices {
+            let _ = write!(p, "device={};plan=", d.id);
+            encode_plan(&mut p, &d.plan);
             let _ = writeln!(
                 p,
-                "device={};plan={};epoch={};attempts={};dead={};breaker={}",
-                d.id,
-                encode_plan(&d.plan),
+                ";epoch={};attempts={};dead={};breaker={}",
                 d.fault_epoch,
                 d.launch_attempts,
                 u8::from(d.dead),
                 encode_breaker(&d.breaker)
             );
         }
-        format!(
-            "{MAGIC} crc64={:016x} payload_bytes={}\n{p}",
-            crc64(p.as_bytes()),
+        let header = format!(
+            "{MAGIC} crc64={:016x} payload_bytes={}\n",
+            crc64(&p),
             p.len()
-        )
+        );
+        let mut text = Vec::with_capacity(header.len() + p.len());
+        text.extend_from_slice(header.as_bytes());
+        text.extend_from_slice(&p);
+        // Every byte is ASCII except the job and boundary names, which
+        // come from `String`s.
+        String::from_utf8(text).expect("checkpoint text is UTF-8")
     }
 
     /// Parse the wire format, verifying the checksum first. `path` is
@@ -504,7 +614,11 @@ impl Checkpoint {
             match key {
                 "job" => ck.job = value.to_string(),
                 "dim" => {
-                    ck.dim = parse_u64("dim", value)? as u8;
+                    let dim = parse_u64("dim", value)?;
+                    ck.dim = u8::try_from(dim).map_err(|_| FieldError {
+                        key: "dim",
+                        why: format!("{dim} out of range (want 1..=3)"),
+                    })?;
                     seen_dim = true;
                 }
                 "radius" => ck.radius = parse_usize("radius", value)?,
@@ -876,6 +990,113 @@ mod tests {
         let corrupt = String::from_utf8(bytes).unwrap();
         let err = Checkpoint::decode(&corrupt, Path::new("c")).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    /// Re-wrap an edited payload under a valid header, so only the field
+    /// checks can reject it.
+    fn with_valid_header(payload: &str) -> String {
+        format!(
+            "{MAGIC} crc64={:016x} payload_bytes={}\n{payload}",
+            crc64(payload.as_bytes()),
+            payload.len()
+        )
+    }
+
+    fn decode_edited(from: &str, to: &str) -> Result<Checkpoint, ConvStencilError> {
+        let text = sample().encode();
+        let payload = text.split_once('\n').unwrap().1;
+        assert!(payload.contains(from), "{from:?} not in the sample payload");
+        Checkpoint::decode(
+            &with_valid_header(&payload.replace(from, to)),
+            Path::new("e"),
+        )
+    }
+
+    #[test]
+    fn dim_beyond_u8_is_a_field_error_not_a_wrapped_dim() {
+        // 257 used to be cast `as u8` and load as a 1D job.
+        let err = decode_edited("\ndim=2\n", "\ndim=257\n").unwrap_err();
+        assert!(err.to_string().contains("field `dim`"), "{err}");
+        assert!(err.to_string().contains("257"), "{err}");
+        assert!(decode_edited("\ndim=2\n", "\ndim=2\n").is_ok());
+    }
+
+    #[test]
+    fn breaker_count_beyond_u32_is_a_field_error_not_a_wrapped_count() {
+        // 2^32 + 1 used to be cast `as u32` and load as 1 failure.
+        let err = decode_edited("breaker=closed:1\n", "breaker=closed:4294967297\n").unwrap_err();
+        assert!(err.to_string().contains("field `device.breaker`"), "{err}");
+        let ck = decode_edited("breaker=closed:1\n", "breaker=closed:4294967295\n").unwrap();
+        assert_eq!(
+            ck.devices[1].breaker,
+            BreakerState::Closed {
+                consecutive_failures: u32::MAX
+            }
+        );
+    }
+
+    /// The fast stride parser must agree with the generic one: equal bits
+    /// on success, the same key and message on failure.
+    fn assert_list_parsers_agree(s: &str) {
+        let fast = parse_f64_list("k", s);
+        let generic = if s.is_empty() {
+            Ok(Vec::new())
+        } else {
+            parse_f64_tokens("k", s)
+        };
+        match (fast, generic) {
+            (Ok(a), Ok(b)) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{s:?}");
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!((a.key, &a.why), (b.key, &b.why), "{s:?}");
+            }
+            (a, b) => panic!("{s:?}: fast ok={} but generic ok={}", a.is_ok(), b.is_ok()),
+        }
+    }
+
+    #[test]
+    fn fast_list_parser_agrees_with_the_generic_parser() {
+        let cases = [
+            "",
+            "0",
+            "0,1",
+            "3ff0000000000000",
+            "3ff0000000000000,7ff8000000000000,8000000000000000",
+            "3FF0000000000000,7FF8000000000000",
+            "3Ff0000000000000,7fF8DEADbeef0000",
+            "fffffffffffffff",
+            "00000000000000001",
+            "10000000000000000",
+            "+3ff000000000000",
+            "+3ff000000000000,0000000000000000",
+            "-3ff000000000000",
+            "3ff000000000000g",
+            "3ff0000000000000 ",
+            " 3ff000000000000",
+            ",",
+            ",3ff0000000000000",
+            "3ff0000000000000,",
+            "3ff0000000000000,,3ff0000000000000",
+            "3ff0000000000000;3ff0000000000000",
+            // 15 + 17 digits: a whole number of strides, commas misplaced.
+            "000000000000001,00000000000000002",
+            "3ff0000000000000,3ff0000000000000\n",
+            "3ff0000000000000,3ff00000000000é",
+        ];
+        for case in cases {
+            assert_list_parsers_agree(case);
+        }
+        // Every single-byte substitution in a canonical three-value list.
+        let canonical = "3ff0000000000000,7ff8000000000001,800000000000000f";
+        for pos in 0..canonical.len() {
+            for sub in [b'0', b'a', b'F', b'g', b',', b'+', b'-', b' ', b';'] {
+                let mut bytes = canonical.as_bytes().to_vec();
+                bytes[pos] = sub;
+                assert_list_parsers_agree(std::str::from_utf8(&bytes).unwrap());
+            }
+        }
     }
 
     #[test]
