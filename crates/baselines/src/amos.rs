@@ -169,7 +169,7 @@ impl Amos {
                     }
                 }
                 let mut acc = FragAcc::zero();
-                ctx.mma_chain(0, krows, &wb, &mut acc);
+                ctx.mma_chains(krows, &[(0, &wb)], &mut acc);
                 // Column 0 holds the 8 results.
                 let mut waddrs = [INACTIVE; 32];
                 let mut vals = [0.0f64; 32];

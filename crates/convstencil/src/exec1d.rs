@@ -13,9 +13,9 @@ use crate::scatter::{AccessLedger, LutScatter};
 use crate::stencil::run_applications;
 use crate::variants::VariantConfig;
 use crate::verify_plan;
-use crate::weights::{WeightMatrices, FRAG_K};
+use crate::weights::{StagedWeights, WeightMatrices, FRAG_K};
 use stencil_core::{Boundary, Kernel1D};
-use tcu_sim::{conflict_free_pad, BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
+use tcu_sim::{conflict_free_pad, BlockCtx, BufferId, Device, FragAcc, Phase, INACTIVE};
 
 /// Geometry for the 1D pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -442,37 +442,11 @@ impl Exec1D {
         }
     }
 
-    fn stage_weight_frags(&self, ctx: &mut BlockCtx) -> (Vec<FragB>, Vec<FragB>) {
-        let p = &self.plan;
-        let w = &self.weights;
-        let mut addrs = [0usize; 32];
-        for (off, data) in [(p.wa_off, &w.a), (p.wb_off, &w.b)] {
-            let mut i = 0;
-            while i < data.len() {
-                let lanes = 32.min(data.len() - i);
-                for (l, a) in addrs.iter_mut().enumerate().take(lanes) {
-                    *a = off + i + l;
-                }
-                ctx.smem_store(&addrs[..lanes], &data[i..i + lanes]);
-                i += lanes;
-            }
-        }
-        let chunks = w.krows / 4;
-        (
-            (0..chunks)
-                .map(|k| ctx.load_frag_b(p.wa_off + 4 * k * 8, 8))
-                .collect(),
-            (0..chunks)
-                .map(|k| ctx.load_frag_b(p.wb_off + 4 * k * 8, 8))
-                .collect(),
-        )
-    }
-
     fn compute_tcu(&self, ctx: &mut BlockCtx, ext_out: BufferId, bid: usize) {
         let p = &self.plan;
         let nk = p.nk;
         // Weight staging is shared-memory traffic: scatter phase.
-        let (wa, wb) = self.stage_weight_frags(ctx);
+        let w = StagedWeights::stage(ctx, &self.weights, p.wa_off);
         ctx.phase(Phase::Tessellation);
         let bands = p.block_groups / 8;
         // 1D plans cap n_k at 7, so a band's 8(nk+1) outputs fit 64 f64
@@ -481,10 +455,9 @@ impl Exec1D {
         let out_vals = &mut band_buf[..8 * (nk + 1)];
         for band in 0..bands {
             let mut acc = FragAcc::zero();
-            let a_base = p.a_off + band * 8 * p.stride;
-            ctx.mma_chain(a_base, p.stride, &wa, &mut acc);
-            let b_base = p.b_off + band * 8 * p.stride;
-            ctx.mma_chain(b_base, p.stride, &wb, &mut acc);
+            let shift = band * 8 * p.stride;
+            let chains = [(p.a_off + shift, w.a()), (p.b_off + shift, w.b())];
+            ctx.mma_chains(p.stride, &chains, &mut acc);
             for ga in 0..8 {
                 for j in 0..=nk {
                     out_vals[ga * (nk + 1) + j] = acc.get(ga, j);

@@ -28,9 +28,9 @@ use crate::scatter::{AccessLedger, LutScatter};
 use crate::stencil::run_applications;
 use crate::variants::VariantConfig;
 use crate::verify_plan;
-use crate::weights::WeightMatrices;
+use crate::weights::{StagedWeights, WeightMatrices};
 use stencil_core::{Boundary, Kernel2D};
-use tcu_sim::{BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
+use tcu_sim::{BlockCtx, BufferId, Device, FragAcc, Phase, INACTIVE};
 
 /// Stack-buffer capacity for one tessellation band's `8(n_k+1)` outputs
 /// (shared-memory capacity keeps `n_k` far below 31 in any valid plan).
@@ -389,33 +389,6 @@ impl Exec2D {
         }
     }
 
-    /// Stage the weight matrices into shared memory and pre-load the
-    /// register-resident B-fragments (once per block).
-    fn stage_weight_frags(&self, ctx: &mut BlockCtx) -> (Vec<FragB>, Vec<FragB>) {
-        let lay = &self.plan.layout;
-        let w = &self.weights;
-        let mut addrs = [0usize; 32];
-        for (off, data) in [(lay.wa_off, &w.a), (lay.wb_off, &w.b)] {
-            let mut i = 0;
-            while i < data.len() {
-                let lanes = 32.min(data.len() - i);
-                for (l, a) in addrs.iter_mut().enumerate().take(lanes) {
-                    *a = off + i + l;
-                }
-                ctx.smem_store(&addrs[..lanes], &data[i..i + lanes]);
-                i += lanes;
-            }
-        }
-        let chunks = w.krows / 4;
-        let wa = (0..chunks)
-            .map(|k| ctx.load_frag_b(lay.wa_off + 4 * k * 8, 8))
-            .collect();
-        let wb = (0..chunks)
-            .map(|k| ctx.load_frag_b(lay.wb_off + 4 * k * 8, 8))
-            .collect();
-        (wa, wb)
-    }
-
     /// Tensor-core compute: dual tessellations per output row and 8-group
     /// band, then coalesced write-back.
     fn compute_tcu(
@@ -431,7 +404,7 @@ impl Exec2D {
         let nk = p.nk;
         // Weight staging is shared-memory traffic, so it stays in the
         // scatter phase; the MMA loop below is the tessellation proper.
-        let (wa_frags, wb_frags) = self.stage_weight_frags(ctx);
+        let w = StagedWeights::stage(ctx, &self.weights, lay.wa_off);
         ctx.phase(Phase::Tessellation);
         let bands = p.block_groups / 8;
         // A tessellation band emits 8(nk+1) contiguous outputs; nk is
@@ -446,10 +419,9 @@ impl Exec2D {
         for xr in 0..rows_here {
             for band in 0..bands {
                 let mut acc = FragAcc::zero();
-                let a_base = lay.a_off + band * 8 * lay.stride + nk * xr;
-                ctx.mma_chain(a_base, lay.stride, &wa_frags, &mut acc);
-                let b_base = lay.b_off + band * 8 * lay.stride + nk * xr;
-                ctx.mma_chain(b_base, lay.stride, &wb_frags, &mut acc);
+                let shift = band * 8 * lay.stride + nk * xr;
+                let chains = [(lay.a_off + shift, w.a()), (lay.b_off + shift, w.b())];
+                ctx.mma_chains(lay.stride, &chains, &mut acc);
                 // Tessellation result: acc[ga][j], j in 0..=nk, is the
                 // output at column (bg·BG + band·8 + ga)(nk+1) + j.
                 for ga in 0..8 {

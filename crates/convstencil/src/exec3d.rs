@@ -19,9 +19,13 @@ use crate::scatter::{AccessLedger, LutScatter};
 use crate::stencil::run_applications;
 use crate::variants::VariantConfig;
 use crate::verify_plan;
-use crate::weights::WeightMatrices;
+use crate::weights::{StagedWeights, WeightMatrices};
 use stencil_core::{Boundary, Grid3D, Kernel3D};
 use tcu_sim::{BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
+
+/// Most z planes a kernel has: the largest supported kernel edge
+/// (`Plan2D::try_new_3d_plane` rejects any larger).
+const MAX_PLANES: usize = 7;
 
 /// How one kernel plane is computed.
 #[derive(Debug, Clone)]
@@ -470,11 +474,10 @@ impl Exec3D {
                 }
             }
             // Stage weight fragments for the MMA planes (once per block).
-            let mut frags: Vec<(usize, Vec<FragB>, Vec<FragB>)> = Vec::new();
-            for dz in 0..self.nk {
-                if let PlaneKind::Mma(w) = &self.planes[dz] {
-                    let (wa, wb) = self.stage_weights(ctx, w, self.weight_off[dz]);
-                    frags.push((dz, wa, wb));
+            let mut staged: [Option<StagedWeights>; MAX_PLANES] = [const { None }; MAX_PLANES];
+            for (dz, plane) in self.planes.iter().enumerate() {
+                if let PlaneKind::Mma(w) = plane {
+                    staged[dz] = Some(StagedWeights::stage(ctx, w, self.weight_off[dz]));
                 }
             }
             ctx.phase(Phase::Tessellation);
@@ -487,7 +490,7 @@ impl Exec3D {
                     bx,
                     bg,
                     rows_here,
-                    &frags,
+                    &staged,
                 );
             }
         })?;
@@ -520,37 +523,6 @@ impl Exec3D {
         });
     }
 
-    fn stage_weights(
-        &self,
-        ctx: &mut BlockCtx,
-        w: &WeightMatrices,
-        off: usize,
-    ) -> (Vec<FragB>, Vec<FragB>) {
-        let wa_off = off;
-        let wb_off = off + w.krows * 8;
-        let mut addrs = [0usize; 32];
-        for (o, data) in [(wa_off, &w.a), (wb_off, &w.b)] {
-            let mut i = 0;
-            while i < data.len() {
-                let lanes = 32.min(data.len() - i);
-                for (l, a) in addrs[..lanes].iter_mut().enumerate() {
-                    *a = o + i + l;
-                }
-                ctx.smem_store(&addrs[..lanes], &data[i..i + lanes]);
-                i += lanes;
-            }
-        }
-        let chunks = w.krows / 4;
-        (
-            (0..chunks)
-                .map(|k| ctx.load_frag_b(wa_off + 4 * k * 8, 8))
-                .collect(),
-            (0..chunks)
-                .map(|k| ctx.load_frag_b(wb_off + 4 * k * 8, 8))
-                .collect(),
-        )
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn compute(
         &self,
@@ -561,7 +533,7 @@ impl Exec3D {
         bx: usize,
         bg: usize,
         rows_here: usize,
-        frags: &[(usize, Vec<FragB>, Vec<FragB>)],
+        staged: &[Option<StagedWeights>; MAX_PLANES],
     ) {
         let p = &self.plane_plan;
         let lay = &p.layout;
@@ -574,17 +546,28 @@ impl Exec3D {
         let out_vals = &mut band_buf[..band_width];
         let mut addrs = [0usize; 32];
         let mut lvals = [0.0f64; 32];
+        // Each MMA plane's A and B chains, bases relative to band 0 and
+        // output row 0, in plane order.
+        let mut chains: [(usize, &[FragB]); 2 * MAX_PLANES] = [(0, &[]); 2 * MAX_PLANES];
+        let mut n_chains = 0;
+        for (dz, w) in staged.iter().enumerate() {
+            if let Some(w) = w {
+                let off = self.slot_off[z_local + dz];
+                chains[n_chains] = (off + lay.a_off, w.a());
+                chains[n_chains + 1] = (off + lay.b_off, w.b());
+                n_chains += 2;
+            }
+        }
+        let mut band_chains = chains;
         for xr in 0..rows_here {
             for band in 0..bands {
-                // MMA planes accumulate in one fragment.
-                let mut acc = FragAcc::zero();
-                for (dz, wa, wb) in frags {
-                    let off = self.slot_off[z_local + *dz];
-                    let a_base = off + lay.a_off + band * 8 * lay.stride + nk * xr;
-                    ctx.mma_chain(a_base, lay.stride, wa, &mut acc);
-                    let b_base = off + lay.b_off + band * 8 * lay.stride + nk * xr;
-                    ctx.mma_chain(b_base, lay.stride, wb, &mut acc);
+                // MMA planes accumulate in one fragment, in one call.
+                let shift = band * 8 * lay.stride + nk * xr;
+                for (c, &(base, frags)) in band_chains.iter_mut().zip(&chains[..n_chains]) {
+                    *c = (base + shift, frags);
                 }
+                let mut acc = FragAcc::zero();
+                ctx.mma_chains(lay.stride, &band_chains[..n_chains], &mut acc);
                 for ga in 0..8 {
                     for j in 0..=nk {
                         out_vals[ga * (nk + 1) + j] = acc.get(ga, j);

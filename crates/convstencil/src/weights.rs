@@ -21,6 +21,7 @@
 //! The 1D construction is the single-block special case (`n_k` rows).
 
 use stencil_core::{Kernel1D, Kernel2D};
+use tcu_sim::{BlockCtx, FragB};
 
 /// Fragment width of the FP64 Tensor Core accumulator.
 pub const FRAG_N: usize = 8;
@@ -121,6 +122,58 @@ impl WeightMatrices {
             a,
             b,
         }
+    }
+}
+
+/// Most `B` fragments one weight matrix splits into: `⌈7² / 4⌉`, for the
+/// largest kernel edge ConvStencil supports.
+pub(crate) const MAX_WEIGHT_FRAGS: usize = (7 * 7usize).div_ceil(FRAG_K);
+
+/// A weight-matrix pair staged in one block's shared memory, with the
+/// register-resident `B` fragments loaded from it once per block (§3.2),
+/// held on the stack.
+pub(crate) struct StagedWeights {
+    a: [FragB; MAX_WEIGHT_FRAGS],
+    b: [FragB; MAX_WEIGHT_FRAGS],
+    frags: usize,
+}
+
+impl StagedWeights {
+    /// Store `w.a` at shared offset `wa_off` and `w.b` right after it
+    /// (`krows x 8`, row stride 8, so every `4 x 8` fragment is 32
+    /// consecutive elements), then load both matrices' fragments.
+    pub(crate) fn stage(ctx: &mut BlockCtx, w: &WeightMatrices, wa_off: usize) -> Self {
+        let wb_off = wa_off + w.krows * FRAG_N;
+        ctx.smem_store_span(wa_off, &w.a);
+        ctx.smem_store_span(wb_off, &w.b);
+        let frags = w.krows / FRAG_K;
+        assert!(
+            frags <= MAX_WEIGHT_FRAGS,
+            "weight matrix of {frags} fragments"
+        );
+        let mut staged = Self {
+            a: [FragB::zero(); MAX_WEIGHT_FRAGS],
+            b: [FragB::zero(); MAX_WEIGHT_FRAGS],
+            frags,
+        };
+        let frag_len = FRAG_K * FRAG_N;
+        for (k, f) in staged.a[..frags].iter_mut().enumerate() {
+            *f = ctx.load_frag_b(wa_off + k * frag_len, FRAG_N);
+        }
+        for (k, f) in staged.b[..frags].iter_mut().enumerate() {
+            *f = ctx.load_frag_b(wb_off + k * frag_len, FRAG_N);
+        }
+        staged
+    }
+
+    /// Weight matrix A's fragments.
+    pub(crate) fn a(&self) -> &[FragB] {
+        &self.a[..self.frags]
+    }
+
+    /// Weight matrix B's fragments.
+    pub(crate) fn b(&self) -> &[FragB] {
+        &self.b[..self.frags]
     }
 }
 

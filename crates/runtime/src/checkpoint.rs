@@ -59,6 +59,10 @@ use tcu_sim::{Counters, EccBurst, FaultPlan, HangSpec, LaunchStats, Phase, Sanit
 /// Magic prefix of every checkpoint file.
 pub const MAGIC: &str = "CONVSTENCIL-CKPT v1";
 
+/// Longest header line `encode` can write: the magic, a 16-digit CRC, a
+/// 20-digit (`u64::MAX`) payload length, separators and the newline.
+const HEADER_MAX: usize = MAGIC.len() + " crc64=".len() + 16 + " payload_bytes=".len() + 20 + 1;
+
 /// File extension used by [`Checkpoint::save`] and [`load_latest`].
 pub const EXTENSION: &str = "ckpt";
 
@@ -406,7 +410,12 @@ impl Checkpoint {
     /// Serialize to the wire format (header + payload).
     pub fn encode(&self) -> String {
         let lists = self.grid_data.len() + self.weights.len();
-        let mut p: Vec<u8> = Vec::with_capacity(17 * lists + 4096);
+        // One buffer for the whole file: the payload goes after a prefix
+        // wide enough for any header, the header is written right-aligned
+        // into that prefix once the payload's CRC is known, and the
+        // unused front of the prefix is dropped.
+        let mut p: Vec<u8> = Vec::with_capacity(HEADER_MAX + 17 * lists + 4096);
+        p.resize(HEADER_MAX, 0);
         let _ = writeln!(p, "job={}", self.job);
         let _ = writeln!(p, "dim={}", self.dim);
         let _ = writeln!(p, "radius={}", self.radius);
@@ -515,17 +524,18 @@ impl Checkpoint {
                 encode_breaker(&d.breaker)
             );
         }
+        let payload = &p[HEADER_MAX..];
         let header = format!(
             "{MAGIC} crc64={:016x} payload_bytes={}\n",
-            crc64(&p),
-            p.len()
+            crc64(payload),
+            payload.len()
         );
-        let mut text = Vec::with_capacity(header.len() + p.len());
-        text.extend_from_slice(header.as_bytes());
-        text.extend_from_slice(&p);
+        let front = HEADER_MAX - header.len();
+        p[front..HEADER_MAX].copy_from_slice(header.as_bytes());
+        p.drain(..front);
         // Every byte is ASCII except the job and boundary names, which
         // come from `String`s.
-        String::from_utf8(text).expect("checkpoint text is UTF-8")
+        String::from_utf8(p).expect("checkpoint text is UTF-8")
     }
 
     /// Parse the wire format, verifying the checksum first. `path` is

@@ -12,6 +12,14 @@
 //! the buffer they write can declare it with [`Device::try_launch_into`];
 //! its writes then land in place as each block runs, which is
 //! indistinguishable from retiring them at launch end.
+//!
+//! Per-request accounting is exact but need not be re-derived per
+//! request. When nothing observes a block's shared-memory accesses (no
+//! sanitizer, no fault plan), [`BlockCtx::smem_store_span`] charges a
+//! contiguous store arithmetically and [`BlockCtx::mma_chains`] charges a
+//! run of fragment loads and DMMAs from memoized conflict degrees and
+//! multiplies in one kernel call; when they are observed, both issue the
+//! address-level calls they stand for.
 
 use crate::config::DeviceConfig;
 use crate::cost::{CostBreakdown, CostModel, LaunchStats};
@@ -21,7 +29,7 @@ use crate::fault::{self, FaultPlan, FaultState};
 use crate::fragment::{dmma, hmma, mma_rows, FragA, FragAcc, FragB, Tile16};
 use crate::global::{contiguous_prefix, BufferId, GlobalMemory, INACTIVE};
 use crate::sanitize::{SanitizerReport, ShadowState};
-use crate::shared::SharedMemory;
+use crate::shared::{span_store_charge, SharedMemory};
 use crate::trace::{Phase, Span, Trace};
 use std::time::Instant;
 
@@ -1197,6 +1205,50 @@ impl BlockCtx<'_> {
         self.shared.store(&mut self.counters, addrs, vals);
     }
 
+    /// Store `vals` to the consecutive shared addresses starting at
+    /// `start`, as the 32-lane [`BlockCtx::smem_store`] calls a warp loop
+    /// over the span would issue, and charge exactly what they charge.
+    /// When accesses are observed those calls are what runs, so the
+    /// sanitizer checks every lane and a fault plan draws once per call;
+    /// under the sanitizer the charged delta must equal
+    /// [`span_store_charge`] (panics otherwise). Otherwise the span is
+    /// charged arithmetically and copied in one slice.
+    pub fn smem_store_span(&mut self, start: usize, vals: &[f64]) {
+        let banks = self.config.shared_banks as usize;
+        let (requests, conflicts) = span_store_charge(vals.len(), banks);
+        if !self.observes_accesses() {
+            self.counters.shared_write_requests += requests;
+            self.counters.shared_write_conflicts += conflicts;
+            self.counters.shared_write_bytes += 8 * vals.len() as u64;
+            self.shared.raw_mut()[start..start + vals.len()].copy_from_slice(vals);
+            return;
+        }
+        let before = self.counters;
+        let mut addrs = [0usize; 32];
+        for (i, chunk) in vals.chunks(32).enumerate() {
+            for (l, a) in addrs[..chunk.len()].iter_mut().enumerate() {
+                *a = start + 32 * i + l;
+            }
+            self.smem_store(&addrs[..chunk.len()], chunk);
+        }
+        // Out-of-bounds lanes are dropped (and reported) by the sanitizer,
+        // so only an in-bounds span must charge the full arithmetic.
+        if self.shadow.is_some() && start + vals.len() <= self.shared.len() {
+            let delta = self.counters.saturating_sub(&before);
+            assert_eq!(
+                (
+                    delta.shared_write_requests,
+                    delta.shared_write_conflicts,
+                    delta.shared_write_bytes
+                ),
+                (requests, conflicts, 8 * vals.len() as u64),
+                "span store charge disagrees with the address-level charges \
+                 (start {start}, {} values, {banks} banks)",
+                vals.len()
+            );
+        }
+    }
+
     /// Load an 8x4 `A` fragment from shared memory at `base` with row
     /// stride `row_stride`, accounting the two 16-lane phases the hardware
     /// issues.
@@ -1282,32 +1334,40 @@ impl BlockCtx<'_> {
         }
     }
 
-    /// A chain of `b.len()` MMAs over side-by-side `A` fragments of one
-    /// shared tile: fragment `k` is the 8x4 block at `a_base + 4 * k` with
-    /// row stride `row_stride`, multiplied by `b[k]` into `acc`. Outputs
-    /// and counters are exactly those of [`BlockCtx::load_frag_a`] then
-    /// [`BlockCtx::dmma`] for each k in turn. That loop is what runs when
-    /// accesses are observed, so the sanitizer sees every fragment load
-    /// and a fault plan draws once per DMMA. Otherwise the loads are
-    /// charged arithmetically (every fragment has the same conflict
-    /// degrees) and each accumulator row is multiplied straight from its
-    /// contiguous shared-memory row.
-    pub fn mma_chain(&mut self, a_base: usize, row_stride: usize, b: &[FragB], acc: &mut FragAcc) {
+    /// Chains of MMAs into one accumulator, in order. Chain `(a_base, b)`
+    /// multiplies side-by-side `A` fragments of one shared tile by `b`:
+    /// fragment `k` is the 8x4 block at `a_base + 4 * k` with row stride
+    /// `row_stride`, multiplied by `b[k]`. Outputs and counters are
+    /// exactly those of [`BlockCtx::load_frag_a`] then [`BlockCtx::dmma`]
+    /// for each fragment of each chain in turn. That loop is what runs
+    /// when accesses are observed, so the sanitizer sees every fragment
+    /// load and a fault plan draws once per DMMA. Otherwise the loads are
+    /// charged arithmetically (every fragment at one stride has the same
+    /// conflict degrees) and one kernel call multiplies every chain
+    /// straight from shared memory, with the accumulator in registers.
+    pub fn mma_chains(
+        &mut self,
+        row_stride: usize,
+        chains: &[(usize, &[FragB])],
+        acc: &mut FragAcc,
+    ) {
         if self.observes_accesses() {
-            for (k, f) in b.iter().enumerate() {
-                let a = self.load_frag_a(a_base + 4 * k, row_stride);
-                self.dmma(&a, f, acc);
+            for &(a_base, b) in chains {
+                for (k, f) in b.iter().enumerate() {
+                    let a = self.load_frag_a(a_base + 4 * k, row_stride);
+                    self.dmma(&a, f, acc);
+                }
             }
             return;
         }
-        if b.is_empty() {
+        let n: u64 = chains.iter().map(|&(_, b)| b.len() as u64).sum();
+        if n == 0 {
             return;
         }
-        let n = b.len() as u64;
-        let addrs = FragA::load_addresses(a_base, row_stride);
+        let addrs = FragA::load_addresses(0, row_stride);
         self.charge_frag_loads(false, row_stride, &addrs, n);
         self.counters.dmma_ops += n;
-        mma_rows(self.shared.raw(), a_base, row_stride, b, acc);
+        mma_rows(self.shared.raw(), row_stride, chains, acc);
     }
 
     /// Issue one FP16-class `m16n16k16` MMA (TCStencil analog).

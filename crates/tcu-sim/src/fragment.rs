@@ -7,6 +7,12 @@
 //! bit-for-bit against a reference that uses the same ordering, or within
 //! tight tolerance against any other ordering.
 //!
+//! One kernel body does that arithmetic for a single [`dmma`] and for the
+//! chains of [`crate::device::BlockCtx::mma_chains`], compiled for the
+//! widest vectors the running CPU has (AVX-512F, AVX, or the baseline
+//! build) and picked at run time; none fuses a multiply and an add, so
+//! the choice does not change result bits.
+//!
 //! A 16x16x16 "HMMA" shape is also provided for the TCStencil analog.
 //! Its arithmetic is carried in f64 (we do not emulate half-precision
 //! rounding) because the paper compares TCStencil by dividing its FP16
@@ -160,78 +166,100 @@ impl Default for FragAcc {
 /// instruction via [`crate::counters::Counters::dmma_ops`] (the
 /// [`crate::device::BlockCtx::dmma`] wrapper does both).
 pub fn dmma(a: &FragA, b: &FragB, acc: &mut FragAcc) {
-    mma_rows(&a.data, 0, FragA::COLS, std::slice::from_ref(b), acc);
+    mma_rows(&a.data, FragA::COLS, &[(0, std::slice::from_ref(b))], acc);
 }
 
-/// `acc += A * [b_0; b_1; ...]` for a chain of MMAs whose `A` fragments
-/// sit side by side: row r of the chained `A` is
-/// `a[a_base + r * row_stride..][..4 * b.len()]`. Each element adds its
-/// products one at a time in ascending k with no fused multiply-add, so a
-/// chain of n fragments gives the same bits as n back-to-back [`dmma`]
-/// calls. Looping k outside c keeps the output rows in registers and lets
-/// the inner loop vectorise; [`MMA_ROW_BLOCK`] rows advance together per
-/// k, so their adds are independent and do not wait on each other.
+/// A chain of MMAs whose `A` fragments sit side by side in `a`: chain
+/// `(a_base, b)` is `A * [b_0; b_1; ...]`, where row r of the chained `A`
+/// is `a[a_base + r * row_stride..][..4 * b.len()]`.
+pub(crate) type Chain<'a> = (usize, &'a [FragB]);
+
+/// `acc += ` every chain's product, chains in order. Each element adds
+/// its products one at a time in ascending k with no fused multiply-add,
+/// so the chains give the same bits as their fragments' back-to-back
+/// [`dmma`] calls. The kernel body is picked by what the running CPU
+/// supports: 8-row blocks of 512-bit vectors with AVX-512F, 4-row blocks
+/// of 256-bit vectors with AVX, else the baseline build's 4-row blocks.
+/// The vector width only changes how many independent lanes one
+/// instruction adds; each lane's multiply and add round exactly as in the
+/// baseline, so every non-NaN result has the same bits.
 ///
 /// Kept out of line so that every caller runs the same machine code:
 /// Rust leaves the sign and payload of a NaN result unspecified, and two
 /// inlined copies may order an add's operands differently.
 #[inline(never)]
-pub(crate) fn mma_rows(
-    a: &[f64],
-    a_base: usize,
-    row_stride: usize,
-    b: &[FragB],
-    acc: &mut FragAcc,
-) {
+pub(crate) fn mma_rows(a: &[f64], row_stride: usize, chains: &[Chain], acc: &mut FragAcc) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: the running CPU supports AVX, checked just above.
-        return unsafe { mma_rows_avx(a, a_base, row_stride, b, acc) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the running CPU supports AVX-512F, checked just above.
+            return unsafe { mma_rows_avx512(a, row_stride, chains, acc) };
+        }
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: the running CPU supports AVX, checked just above.
+            return unsafe { mma_rows_avx(a, row_stride, chains, acc) };
+        }
     }
-    mma_rows_body(a, a_base, row_stride, b, acc);
+    mma_rows_body::<4>(a, row_stride, chains, acc);
 }
 
-/// [`mma_rows`] compiled with 256-bit vectors. AVX multiplies and adds
-/// round exactly like the baseline SSE2 ones, and AVX implies no fused
-/// multiply-add, so every non-NaN result has the same bits.
+/// [`mma_rows`] in 8-row blocks of 512-bit vectors: the whole 8x8
+/// accumulator is 8 registers for the length of every chain. AVX-512F
+/// has fused multiply-adds, but nothing here asks for one (Rust never
+/// contracts a multiply and an add), which a test checks in the machine
+/// code.
+///
+/// # Safety
+/// The running CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn mma_rows_avx512(a: &[f64], row_stride: usize, chains: &[Chain], acc: &mut FragAcc) {
+    mma_rows_body::<8>(a, row_stride, chains, acc);
+}
+
+/// [`mma_rows`] in 4-row blocks of 256-bit vectors. AVX implies no fused
+/// multiply-add.
 ///
 /// # Safety
 /// The running CPU must support AVX.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn mma_rows_avx(
-    a: &[f64],
-    a_base: usize,
-    row_stride: usize,
-    b: &[FragB],
-    acc: &mut FragAcc,
-) {
-    mma_rows_body(a, a_base, row_stride, b, acc);
+unsafe fn mma_rows_avx(a: &[f64], row_stride: usize, chains: &[Chain], acc: &mut FragAcc) {
+    mma_rows_body::<4>(a, row_stride, chains, acc);
 }
 
-/// Output rows [`mma_rows`] carries through one k step: 4 rows of 8 f64
-/// are 8 independent 256-bit accumulators.
-const MMA_ROW_BLOCK: usize = 4;
-
+/// The one kernel body: `ROWS` output rows of 8 f64 advance together per
+/// k, so their adds are independent and do not wait on each other, and
+/// looping k outside the columns keeps the rows in registers and lets the
+/// column loop vectorise. `ROWS` must divide 8.
 #[inline(always)]
-fn mma_rows_body(a: &[f64], a_base: usize, row_stride: usize, b: &[FragB], acc: &mut FragAcc) {
+fn mma_rows_body<const ROWS: usize>(
+    a: &[f64],
+    row_stride: usize,
+    chains: &[Chain],
+    acc: &mut FragAcc,
+) {
     const C: usize = FragAcc::COLS;
-    let width = FragA::COLS * b.len();
-    for (blk, acc_rows) in acc.data.chunks_exact_mut(MMA_ROW_BLOCK * C).enumerate() {
-        let mut rows = [[0.0f64; C]; MMA_ROW_BLOCK];
-        let mut a_rows: [&[f64]; MMA_ROW_BLOCK] = [&[]; MMA_ROW_BLOCK];
-        for (i, (row, acc_row)) in rows.iter_mut().zip(acc_rows.chunks_exact(C)).enumerate() {
+    for (blk, acc_rows) in acc.data.chunks_exact_mut(ROWS * C).enumerate() {
+        let mut rows = [[0.0f64; C]; ROWS];
+        for (row, acc_row) in rows.iter_mut().zip(acc_rows.chunks_exact(C)) {
             row.copy_from_slice(acc_row);
-            let start = a_base + (blk * MMA_ROW_BLOCK + i) * row_stride;
-            a_rows[i] = &a[start..start + width];
         }
-        for (f, frag) in b.iter().enumerate() {
-            for (kk, b_row) in frag.data.chunks_exact(FragB::COLS).enumerate() {
-                let k = FragA::COLS * f + kk;
-                for (row, a_row) in rows.iter_mut().zip(&a_rows) {
-                    let x = a_row[k];
-                    for (sum, &y) in row.iter_mut().zip(b_row) {
-                        *sum += x * y;
+        for &(a_base, b) in chains {
+            let width = FragA::COLS * b.len();
+            let mut a_rows: [&[f64]; ROWS] = [&[]; ROWS];
+            for (i, a_row) in a_rows.iter_mut().enumerate() {
+                let start = a_base + (blk * ROWS + i) * row_stride;
+                *a_row = &a[start..start + width];
+            }
+            for (f, frag) in b.iter().enumerate() {
+                for (kk, b_row) in frag.data.chunks_exact(FragB::COLS).enumerate() {
+                    let k = FragA::COLS * f + kk;
+                    for (row, a_row) in rows.iter_mut().zip(&a_rows) {
+                        let x = a_row[k];
+                        for (sum, &y) in row.iter_mut().zip(b_row) {
+                            *sum += x * y;
+                        }
                     }
                 }
             }
@@ -367,37 +395,129 @@ mod tests {
         }
     }
 
-    /// The run-time selected kernel (256-bit vectors where the CPU has
-    /// AVX) gives the bits of the baseline build, infinities and signed
-    /// zeros included, and NaN exactly where it does (a NaN's sign and
-    /// payload are unspecified in Rust).
-    #[test]
-    fn selected_mma_kernel_matches_baseline_kernel() {
+    /// Chain inputs for the kernel-body tests: `A` rows of 70 values and
+    /// 16 `B` fragments, about one value in eleven a signed zero, an
+    /// infinity or NaN.
+    fn kernel_inputs() -> (Vec<f64>, Vec<FragB>, FragAcc) {
         let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let value = |i: usize| match i % 11 {
             0 => specials[(i / 11) % specials.len()],
             _ => (i as f64 * 0.37).sin() * 5.0,
         };
-        let a: Vec<f64> = (0..8 * 70).map(value).collect();
-        let b: Vec<FragB> = (0..16)
+        let a = (0..8 * 140).map(value).collect();
+        let b = (0..16)
             .map(|k| FragB {
                 data: std::array::from_fn(|i| value(1000 + 32 * k + i)),
             })
             .collect();
+        let acc = FragAcc {
+            data: std::array::from_fn(|i| value(5000 + i)),
+        };
+        (a, b, acc)
+    }
+
+    /// Runs `kernel` and the baseline body on chains of every length
+    /// 0-16, alone and as two or three chains into one accumulator, and
+    /// asserts equal bits: infinities and signed zeros included, and NaN
+    /// exactly where the baseline has one (a NaN's sign and payload are
+    /// unspecified in Rust).
+    fn assert_matches_baseline(kernel: fn(&[f64], usize, &[Chain], &mut FragAcc), name: &str) {
+        let (a, b, start) = kernel_inputs();
+        // Every NaN reads as the canonical one, which no other value has.
+        let bits = |acc: &FragAcc| {
+            acc.data
+                .map(|v| if v.is_nan() { f64::NAN } else { v }.to_bits())
+        };
         for n in 0..=16 {
-            let start = FragAcc {
-                data: std::array::from_fn(|i| value(5000 + i)),
-            };
-            let (mut selected, mut baseline) = (start, start);
-            mma_rows(&a, 3, 67, &b[..n], &mut selected);
-            mma_rows_body(&a, 3, 67, &b[..n], &mut baseline);
-            // Every NaN reads as the canonical one, which no other value has.
-            let bits = |acc: &FragAcc| {
-                acc.data
-                    .map(|v| if v.is_nan() { f64::NAN } else { v }.to_bits())
-            };
-            assert_eq!(bits(&selected), bits(&baseline), "chain of {n}");
+            let splits: [&[Chain]; 3] = [
+                &[(3, &b[..n])],
+                &[(3, &b[..n]), (70, &b[16 - n..])],
+                &[(1, &b[..n / 2]), (9, &b[n / 2..n]), (75, &b[..16 - n])],
+            ];
+            for chains in splits {
+                let (mut got, mut want) = (start, start);
+                kernel(&a, 137, chains, &mut got);
+                mma_rows_body::<4>(&a, 137, chains, &mut want);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{name}, {} chains, n = {n}",
+                    chains.len()
+                );
+            }
         }
+    }
+
+    /// The run-time selected kernel gives the bits of the baseline build.
+    #[test]
+    fn selected_mma_kernel_matches_baseline_kernel() {
+        assert_matches_baseline(mma_rows, "selected kernel");
+    }
+
+    /// Each compiled kernel body against the baseline one; a body the
+    /// running CPU cannot execute is skipped with a note.
+    #[test]
+    fn every_mma_kernel_body_matches_baseline_kernel() {
+        assert_matches_baseline(mma_rows_body::<8>, "8-row baseline build");
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: the running CPU supports AVX-512F.
+                let avx512 = |a: &[f64], s, c: &[Chain], acc: &mut FragAcc| unsafe {
+                    mma_rows_avx512(a, s, c, acc)
+                };
+                assert_matches_baseline(avx512, "8-row AVX-512F");
+            } else {
+                println!("skipped the 8-row AVX-512F kernel: this CPU lacks AVX-512F");
+            }
+            if std::arch::is_x86_feature_detected!("avx") {
+                // SAFETY: the running CPU supports AVX.
+                let avx = |a: &[f64], s, c: &[Chain], acc: &mut FragAcc| unsafe {
+                    mma_rows_avx(a, s, c, acc)
+                };
+                assert_matches_baseline(avx, "4-row AVX");
+            } else {
+                println!("skipped the 4-row AVX kernel: this CPU lacks AVX");
+            }
+        }
+    }
+
+    /// The AVX-512F kernel multiplies and adds separately: its machine
+    /// code holds no fused multiply-add, which would round once instead
+    /// of twice and change result bits. Disassembles this test binary
+    /// with `objdump`; skipped with a note where it is not installed.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_kernel_has_no_fused_multiply_add() {
+        let exe = std::env::current_exe().expect("test binary path");
+        let out = match std::process::Command::new("objdump")
+            .args(["-d", "--no-show-raw-insn"])
+            .arg(&exe)
+            .output()
+        {
+            Ok(out) if out.status.success() => out,
+            _ => {
+                println!("skipped: objdump is not available to disassemble {exe:?}");
+                return;
+            }
+        };
+        let text = String::from_utf8_lossy(&out.stdout);
+        let mut found = false;
+        let mut inside = false;
+        for line in text.lines() {
+            if line.ends_with(">:") {
+                inside = line.contains("mma_rows_avx512");
+                found |= inside;
+            } else if inside {
+                assert!(
+                    !["vfmadd", "vfmsub", "vfnmadd", "vfnmsub"]
+                        .iter()
+                        .any(|op| line.contains(op)),
+                    "fused multiply-add in mma_rows_avx512: {line}"
+                );
+            }
+        }
+        assert!(found, "no mma_rows_avx512 symbol in {exe:?}");
     }
 
     #[test]

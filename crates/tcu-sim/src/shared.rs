@@ -174,6 +174,24 @@ pub fn access_charge(addrs: &[usize], banks: usize) -> (u64, u64) {
     (requests, replays)
 }
 
+/// `(requests, replays)` of storing `len` consecutive f64 elements as
+/// 32-lane warp stores (the last one partial): exactly what
+/// [`access_charge`] sums over those stores, without building addresses.
+/// A phase of `l` consecutive f64 covers `2l` consecutive 32-bit words,
+/// which deal round-robin over the banks, so its fullest bank holds
+/// `ceil(2l / banks)` words wherever the span starts.
+pub fn span_store_charge(len: usize, banks: usize) -> (u64, u64) {
+    let replays = |lanes: usize| ((2 * lanes).div_ceil(banks).max(1) - 1) as u64;
+    let full = len / F64_PHASE_LANES;
+    let tail = len % F64_PHASE_LANES;
+    let requests = len.div_ceil(F64_PHASE_LANES) as u64;
+    let tail_replays = if tail > 0 { replays(tail) } else { 0 };
+    (
+        requests,
+        full as u64 * replays(F64_PHASE_LANES) + tail_replays,
+    )
+}
+
 /// Smallest per-row padding (in f64 elements) that makes strided 8x4 f64
 /// fragment loads conflict-free, given the bank count.
 ///
