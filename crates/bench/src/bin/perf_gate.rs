@@ -1,7 +1,8 @@
 //! Host-performance gate over the Fig. 6 workloads.
 //!
 //! Times Heat-1D, Box-2D9P and Box-3D27P end-to-end (fully-optimized
-//! variant) and records the fastest wall-clock of `PERF_RUNS` runs, the
+//! variant) and records the fastest wall-clock of at least `PERF_RUNS`
+//! runs spanning at least `PERF_MIN_WALL_S` seconds, the
 //! stencil throughput it implies, and the heap allocation ledger. Without
 //! flags it measures the quick workloads and enforces the committed
 //! `results/BENCH_perf.json` baseline; `--full` also measures the full
@@ -18,7 +19,7 @@ use convstencil_baselines::ProblemSize;
 use convstencil_bench::alloc_counter::{self, CountingAlloc};
 use convstencil_bench::perf::{
     gate_violations, parse_perf_json, perf_baseline_path, write_perf_json, GateThresholds,
-    PerfRecord, PERF_RUNS,
+    PerfRecord, PERF_MIN_WALL_S, PERF_RUNS,
 };
 use convstencil_bench::report::{banner, render_table};
 use convstencil_bench::{workload_for, Workload};
@@ -77,12 +78,15 @@ fn measure_once(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
     }
 }
 
-/// The fastest of `PERF_RUNS` runs, with the smallest allocation ledger
-/// seen (the ledger repeats once lazy set-up is done).
+/// The fastest of at least `PERF_RUNS` runs that together take at least
+/// `PERF_MIN_WALL_S`, with the smallest allocation ledger seen (the
+/// ledger repeats once lazy set-up is done).
 fn measure(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
-    let runs: Vec<PerfRecord> = (0..PERF_RUNS)
-        .map(|_| measure_once(shape, mode, w))
-        .collect();
+    let start = Instant::now();
+    let mut runs = Vec::new();
+    while runs.len() < PERF_RUNS || start.elapsed().as_secs_f64() < PERF_MIN_WALL_S {
+        runs.push(measure_once(shape, mode, w));
+    }
     let fastest = runs
         .iter()
         .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))

@@ -1,8 +1,9 @@
 //! The perf-gate artifact: `results/BENCH_perf.json`.
 //!
 //! `perf_gate` times the Fig. 6 workloads end-to-end on the host and
-//! records, per workload and mode, the fastest wall-clock of
-//! [`PERF_RUNS`] runs, the achieved stencil throughput, and the
+//! records, per workload and mode, the fastest wall-clock of at least
+//! [`PERF_RUNS`] runs spanning at least [`PERF_MIN_WALL_S`] seconds,
+//! the achieved stencil throughput, and the
 //! heap-allocation ledger (see [`crate::alloc_counter`]). Against a
 //! committed baseline it enforces two thresholds:
 //!
@@ -11,7 +12,11 @@
 //!   reintroduces per-block heap traffic or a whole-grid copy trips this
 //!   gate even on a noisy machine;
 //! * **throughput ratio** (default 0.7x): the minimum of several runs
-//!   filters most host noise, so a 1.4x slowdown fails.
+//!   filters most host noise, so a 1.4x slowdown fails. A fixed run
+//!   count is not enough for a workload of a few milliseconds, whose
+//!   fastest of five runs still drifts with the host; timing every
+//!   workload for a minimum wall budget as well gives short workloads
+//!   hundreds of runs.
 //!
 //! The codec is hand-rolled like [`crate::bench_json`] (the workspace's
 //! `serde` is an API-compatibility stub).
@@ -28,8 +33,13 @@ pub const PRE_OPT_WALL_MS: [(&str, f64); 3] = [
     ("Box-3D27P", 7807.26),
 ];
 
-/// Runs per workload; the fastest one is recorded and gated.
+/// Least number of runs per workload; the fastest one is recorded and
+/// gated.
 pub const PERF_RUNS: usize = 5;
+
+/// Least total wall-clock, in seconds, spent timing one workload: runs
+/// continue until both this budget and [`PERF_RUNS`] are reached.
+pub const PERF_MIN_WALL_S: f64 = 2.0;
 
 /// One perf-gate measurement.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +48,8 @@ pub struct PerfRecord {
     pub workload: String,
     /// `quick` or `full` — records only gate against the same mode.
     pub mode: String,
-    /// Host wall-clock of the fastest of [`PERF_RUNS`] runs, milliseconds.
+    /// Host wall-clock of the fastest run (see [`PERF_MIN_WALL_S`]),
+    /// milliseconds.
     pub wall_ms: f64,
     /// Stencil updates per second (points x steps / wall).
     pub points_per_sec: f64,

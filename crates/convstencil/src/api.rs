@@ -20,7 +20,9 @@ use crate::stencil::{run_applications, Stencil};
 use crate::variants::VariantConfig;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::ops::Range;
 use std::time::Instant;
+use stencil_core::boundary::wrap;
 use stencil_core::{
     check_close, Boundary, HaloGrid, Kernel1D, Kernel2D, Kernel3D, VerifyError, DEFAULT_TOL,
 };
@@ -129,6 +131,15 @@ fn verify_statically(
 
 /// Configuration for verified execution: how the simulated result is
 /// spot-checked against the naive CPU reference and how hard to retry.
+///
+/// Only the sampled tiles need reference values, and after `steps` steps
+/// a cell depends only on inputs within `radius · steps` of it, so the
+/// reference is computed on each tile's dependency cone (see
+/// [`ConvStencil::tile_reference`]), once per run. The whole grid is
+/// computed instead when the check covers it (`sample_tiles == 0`, or
+/// tiles covering the interior), when the cones together are no smaller
+/// than the grid, and when a verified run degrades and returns the
+/// reference as its result.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct VerifyConfig {
     /// Mixed absolute/relative tolerance for the residual checks.
@@ -137,7 +148,7 @@ pub struct VerifyConfig {
     /// degrades to the reference result.
     pub max_retries: u64,
     /// Sampled tiles compared per attempt. `0` compares the entire grid
-    /// (strongest, costs one full pass).
+    /// (strongest, costs one full reference pass).
     pub sample_tiles: usize,
     /// Contiguous elements per sampled tile.
     pub tile: usize,
@@ -164,10 +175,47 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The flat interior ranges a [`VerifyConfig`] samples from an interior
+/// of `len` cells, in tile order: the whole interior when `sample_tiles`
+/// is `0` or the tiles would cover it, otherwise `sample_tiles` tiles of
+/// `tile` cells placed by a hash of the seed.
+fn sample_ranges(len: usize, cfg: &VerifyConfig) -> Vec<Range<usize>> {
+    if cfg.sample_tiles == 0 || cfg.sample_tiles * cfg.tile >= len {
+        return std::iter::once(0..len).collect();
+    }
+    (0..cfg.sample_tiles)
+        .map(|t| {
+            let start = (mix64(cfg.seed ^ mix64(t as u64 + 1)) % len as u64) as usize;
+            start..(start + cfg.tile).min(len)
+        })
+        .collect()
+}
+
+/// `check_close` on a piece starting at flat index `start`: a mismatch
+/// reports its index in the whole interior.
+fn check_piece(got: &[f64], want: &[f64], tol: f64, start: usize) -> Result<(), VerifyError> {
+    check_close(got, want, tol).map_err(|e| match e {
+        VerifyError::Mismatch {
+            index,
+            left,
+            right,
+            mixed_err,
+            tol,
+        } => VerifyError::Mismatch {
+            index: start + index,
+            left,
+            right,
+            mixed_err,
+            tol,
+        },
+        other => other,
+    })
+}
+
 /// Compare `got` against `want` on the configured sample tiles (or in
-/// full), reporting the first offending flat interior index. Public so
-/// the multi-device runtime can reuse the exact verification the
-/// single-device verified path applies.
+/// full), reporting the first offending flat interior index. Verified
+/// execution gets the same answer from [`SampledReference::check`]
+/// without a full reference.
 pub fn check_samples(got: &[f64], want: &[f64], cfg: &VerifyConfig) -> Result<(), VerifyError> {
     if got.len() != want.len() {
         return Err(VerifyError::LengthMismatch {
@@ -175,30 +223,118 @@ pub fn check_samples(got: &[f64], want: &[f64], cfg: &VerifyConfig) -> Result<()
             right: want.len(),
         });
     }
-    if cfg.sample_tiles == 0 || cfg.sample_tiles * cfg.tile >= got.len() {
-        return check_close(got, want, cfg.tol);
-    }
-    for t in 0..cfg.sample_tiles {
-        let start = (mix64(cfg.seed ^ mix64(t as u64 + 1)) % got.len() as u64) as usize;
-        let end = (start + cfg.tile).min(got.len());
-        if let Err(VerifyError::Mismatch {
-            index,
-            left,
-            right,
-            mixed_err,
-            tol,
-        }) = check_close(&got[start..end], &want[start..end], cfg.tol)
-        {
-            return Err(VerifyError::Mismatch {
-                index: start + index,
-                left,
-                right,
-                mixed_err,
-                tol,
-            });
-        }
+    for r in sample_ranges(got.len(), cfg) {
+        check_piece(&got[r.clone()], &want[r.clone()], cfg.tol, r.start)?;
     }
     Ok(())
+}
+
+/// Interior cells of an extent.
+fn volume(dims: &[usize]) -> usize {
+    dims.iter().product()
+}
+
+/// Index, in row-major storage of extent `ext(a)` on axis `a`, of the
+/// cell whose axis-`a` coordinate is `coord(a, c[a])`, where `c` is
+/// flat index `flat` of an extent `dims` (last axis fastest).
+fn storage_index(
+    dims: &[usize],
+    mut flat: usize,
+    ext: impl Fn(usize) -> usize,
+    coord: impl Fn(usize, usize) -> usize,
+) -> usize {
+    let (mut index, mut stride) = (0, 1);
+    for (a, &d) in dims.iter().enumerate().rev() {
+        index += coord(a, flat % d) * stride;
+        flat /= d;
+        stride *= ext(a);
+    }
+    index
+}
+
+/// The flat interior range `r` of a grid (extent `dims`, halo `halo`)
+/// cut into its contiguous row pieces: `(flat index, padded index,
+/// length)` per piece, in flat order.
+fn row_pieces(
+    dims: &[usize],
+    halo: usize,
+    r: Range<usize>,
+) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let cols = dims[dims.len() - 1];
+    let mut flat = r.start;
+    std::iter::from_fn(move || {
+        if flat >= r.end {
+            return None;
+        }
+        let len = (cols - flat % cols).min(r.end - flat);
+        let padded = storage_index(dims, flat, |a| dims[a] + 2 * halo, |_, c| c + halo);
+        let piece = (flat, padded, len);
+        flat += len;
+        Some(piece)
+    })
+}
+
+/// The grid box a flat interior range's reference is computed on: the
+/// range's bounding box grown by the dependency-cone margin.
+struct Window {
+    /// Interior coordinate of the window's first interior cell, per axis
+    /// (negative only on a periodic window, which unrolls the torus).
+    origin: Vec<isize>,
+    /// Interior extent, per axis.
+    dims: Vec<usize>,
+}
+
+/// Expected values of the cells a [`VerifyConfig`] samples, computed once
+/// from a run's input grid and checked against every attempt's output.
+/// Built by [`ConvStencil::sampled_reference`].
+#[derive(Debug, Clone)]
+pub struct SampledReference {
+    /// Interior cells of the grid the reference was computed for.
+    len: usize,
+    /// Sampled flat interior ranges, in tile order.
+    ranges: Vec<Range<usize>>,
+    /// Expected values of `ranges`, concatenated in order.
+    want: Vec<f64>,
+    tol: f64,
+}
+
+impl SampledReference {
+    /// The sampled flat interior ranges and their expected values, in
+    /// tile order.
+    pub fn tiles(&self) -> impl Iterator<Item = (Range<usize>, &[f64])> + '_ {
+        let mut want = self.want.as_slice();
+        self.ranges.iter().map(move |r| {
+            let (tile, rest) = want.split_at(r.len());
+            want = rest;
+            (r.clone(), tile)
+        })
+    }
+
+    /// Compare `got` in place on the sampled ranges. Same answer as
+    /// [`check_samples`] on `got`'s interior and the full reference's,
+    /// first offending flat interior index included.
+    pub fn check<G: HaloGrid>(&self, got: &G) -> Result<(), VerifyError> {
+        let dims = got.dims();
+        if volume(&dims) != self.len {
+            return Err(VerifyError::LengthMismatch {
+                left: volume(&dims),
+                right: self.len,
+            });
+        }
+        let data = got.padded();
+        for (r, want) in self.tiles() {
+            for (flat, padded, len) in row_pieces(&dims, got.halo(), r.clone()) {
+                let at = flat - r.start;
+                check_piece(
+                    &data[padded..padded + len],
+                    &want[at..at + len],
+                    self.tol,
+                    flat,
+                )?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The ConvStencil runner, generic over the dimension: the kernel type
@@ -422,6 +558,167 @@ impl<K: Stencil> ConvStencil<K> {
         current.into_owned()
     }
 
+    /// CPU reference of the flat interior range `cells` after `steps`
+    /// steps, computed on the range's dependency cone instead of the
+    /// whole grid; bit-identical to
+    /// `run_reference(grid, steps).interior()[cells]`.
+    ///
+    /// The cone is the range's bounding box grown on every axis by
+    /// `radius · steps` of the base kernel, the sum of radius x
+    /// applications over the fusion schedule (remainder kernel included).
+    /// Under Dirichlet boundaries the box is clipped to the interior and
+    /// keeps the grid's own halo, which `run_reference` re-halos and
+    /// freezes exactly as on the full grid; under periodic boundaries it
+    /// is filled by wrapped indices, an unrolled torus that is exact at
+    /// its centre even when the box is longer than the axis. Cells the
+    /// window's own edges corrupt lie outside the cone.
+    pub fn tile_reference(&self, grid: &K::Grid, steps: usize, cells: Range<usize>) -> Vec<f64> {
+        let mut want = Vec::with_capacity(cells.len());
+        if !cells.is_empty() {
+            let win = self.window(&grid.dims(), steps, cells.clone());
+            self.push_window_reference(grid, steps, cells, &win, &mut want);
+        }
+        want
+    }
+
+    /// Append the reference of `cells`, computed on `win`, to `want`.
+    fn push_window_reference(
+        &self,
+        grid: &K::Grid,
+        steps: usize,
+        cells: Range<usize>,
+        win: &Window,
+        want: &mut Vec<f64>,
+    ) {
+        let dims = grid.dims();
+        let h = grid.halo();
+        // The window's halo, and the grid padded coordinate of window
+        // padded coordinate `p` on axis `a`.
+        let halo = match self.boundary {
+            Boundary::Dirichlet => h,
+            Boundary::Periodic => 0,
+        };
+        let source = |a: usize, p: usize| match self.boundary {
+            Boundary::Dirichlet => win.origin[a] as usize + p,
+            Boundary::Periodic => wrap(win.origin[a] + p as isize, dims[a]) + h,
+        };
+        let mut window = K::Grid::zeros(&win.dims, halo);
+        let padded: Vec<usize> = win.dims.iter().map(|d| d + 2 * halo).collect();
+        let (cols, lead) = padded.split_last().expect("a grid has at least one axis");
+        let src = grid.padded();
+        for (row, out) in window.padded_mut().chunks_exact_mut(*cols).enumerate() {
+            let base = storage_index(lead, row, |a| dims[a] + 2 * h, source)
+                * (dims[dims.len() - 1] + 2 * h);
+            for (p, o) in out.iter_mut().enumerate() {
+                *o = src[base + source(lead.len(), p)];
+            }
+        }
+        let out = self.run_reference(&window, steps);
+        for (flat, _, len) in row_pieces(&dims, 0, cells) {
+            let at = storage_index(
+                &dims,
+                flat,
+                |a| padded[a],
+                |a, c| (c as isize - win.origin[a]) as usize + halo,
+            );
+            want.extend_from_slice(&out.padded()[at..at + len]);
+        }
+    }
+
+    /// The window [`ConvStencil::tile_reference`] computes a non-empty
+    /// flat interior range on.
+    fn window(&self, dims: &[usize], steps: usize, cells: Range<usize>) -> Window {
+        let margin = (self.kernel.radius() * steps) as isize;
+        let coord = |flat: usize, a: usize| flat / volume(&dims[a + 1..]) % dims[a];
+        let (first, last) = (cells.start, cells.end - 1);
+        // Axes before the first one on which the ends differ are fixed,
+        // that axis spans first..=last, and the range wraps the full
+        // extent of every later axis.
+        let split = (0..dims.len())
+            .position(|a| coord(first, a) != coord(last, a))
+            .unwrap_or(dims.len());
+        let (mut origin, mut extent) = (Vec::new(), Vec::new());
+        for (a, &n) in dims.iter().enumerate() {
+            let (lo, hi) = match a.cmp(&split) {
+                std::cmp::Ordering::Less => (coord(first, a), coord(first, a) + 1),
+                std::cmp::Ordering::Equal => (coord(first, a), coord(last, a) + 1),
+                std::cmp::Ordering::Greater => (0, n),
+            };
+            let (lo, hi) = (lo as isize - margin, hi as isize + margin);
+            let (lo, hi) = match self.boundary {
+                Boundary::Dirichlet => (lo.max(0), hi.min(n as isize)),
+                Boundary::Periodic => (lo, hi),
+            };
+            origin.push(lo);
+            extent.push((hi - lo) as usize);
+        }
+        Window {
+            origin,
+            dims: extent,
+        }
+    }
+
+    /// The reference values `cfg` samples from `grid` after `steps`
+    /// steps, computed once so every attempt of a verified run (or every
+    /// retry of a runtime chunk) is checked against the same values.
+    pub fn sampled_reference(
+        &self,
+        grid: &K::Grid,
+        steps: usize,
+        cfg: &VerifyConfig,
+    ) -> SampledReference {
+        self.expected(grid, steps, cfg).0
+    }
+
+    /// [`ConvStencil::sampled_reference`], plus the full reference grid
+    /// when it was computed: the tiles' cones are used only while they
+    /// hold fewer cells than the grid, which also sends a check of the
+    /// whole interior to the full pass.
+    fn expected(
+        &self,
+        grid: &K::Grid,
+        steps: usize,
+        cfg: &VerifyConfig,
+    ) -> (SampledReference, Option<K::Grid>) {
+        let dims = grid.dims();
+        let len = volume(&dims);
+        let ranges = sample_ranges(len, cfg);
+        let windows: Vec<Option<Window>> = ranges
+            .iter()
+            .map(|r| (!r.is_empty()).then(|| self.window(&dims, steps, r.clone())))
+            .collect();
+        let mut want = Vec::with_capacity(ranges.iter().map(Range::len).sum());
+        let full = if windows
+            .iter()
+            .flatten()
+            .map(|w| volume(&w.dims))
+            .sum::<usize>()
+            < len
+        {
+            for (r, win) in ranges.iter().zip(&windows) {
+                if let Some(win) = win {
+                    self.push_window_reference(grid, steps, r.clone(), win, &mut want);
+                }
+            }
+            None
+        } else {
+            let full = self.run_reference(grid, steps);
+            for r in &ranges {
+                for (_, at, n) in row_pieces(&dims, full.halo(), r.clone()) {
+                    want.extend_from_slice(&full.padded()[at..at + n]);
+                }
+            }
+            Some(full)
+        };
+        let sampled = SampledReference {
+            len,
+            ranges,
+            want,
+            tol: cfg.tol,
+        };
+        (sampled, full)
+    }
+
     /// Advance `steps` time steps; returns the result grid and the report.
     ///
     /// Kernel fusion is a Tensor-Core densification technique (§3.3,
@@ -464,8 +761,7 @@ impl<K: Stencil> ConvStencil<K> {
     ) -> Result<(K::Grid, RunReport), ConvStencilError> {
         let points = points(grid)?;
         let reference_start = Instant::now();
-        let reference = self.run_reference(grid, steps);
-        let want = reference.interior();
+        let (want, full) = self.expected(grid, steps, &cfg);
         let reference_ns = reference_start.elapsed().as_nanos() as u64;
         let mut dev = self.make_device();
         push_host_span(&mut dev, Phase::Verify, reference_ns);
@@ -479,7 +775,7 @@ impl<K: Stencil> ConvStencil<K> {
             match self.try_run_on(&mut dev, grid, steps) {
                 Ok(out) => {
                     let check_start = Instant::now();
-                    let check = check_samples(&out.interior(), &want, &cfg);
+                    let check = want.check(&out);
                     push_host_span(
                         &mut dev,
                         Phase::Verify,
@@ -497,12 +793,25 @@ impl<K: Stencil> ConvStencil<K> {
                 Err(other) => return Err(other),
             }
         }
+        let degraded = accepted.is_none();
+        let result = match (accepted, full) {
+            (Some(out), _) => out,
+            (None, Some(full)) => full,
+            (None, None) => {
+                // Degraded with only the sampled cells computed: the
+                // reference result is the whole grid.
+                let start = Instant::now();
+                let full = self.run_reference(grid, steps);
+                push_host_span(&mut dev, Phase::Verify, start.elapsed().as_nanos() as u64);
+                full
+            }
+        };
         let mut report = RunReport::from_device(&mut dev, points, steps as u64);
         report.verified = true;
         report.faults_detected = detected;
         report.retries = retries;
-        report.degraded = accepted.is_none();
-        Ok((accepted.unwrap_or(reference), report))
+        report.degraded = degraded;
+        Ok((result, report))
     }
 
     fn make_device(&self) -> Device {

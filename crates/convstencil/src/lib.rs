@@ -39,7 +39,7 @@ pub mod weights;
 
 pub use api::{
     check_samples, ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport,
-    VerifyConfig, MAX_NK,
+    SampledReference, VerifyConfig, MAX_NK,
 };
 pub use error::{ConvStencilError, DeadlineKind};
 pub use exec1d::Exec1D;

@@ -28,8 +28,8 @@ use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::checkpoint::{load_latest, Checkpoint, DeviceCursor};
 use crate::pool::{DevicePool, DeviceSlot};
 use convstencil::{
-    check_samples, ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError,
-    DeadlineKind, Stencil, VariantConfig, VerifyConfig,
+    ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError, DeadlineKind,
+    SampledReference, Stencil, VariantConfig, VerifyConfig,
 };
 use stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, HaloGrid};
 use tcu_sim::{CostModel, Counters, Device, FaultPlan, LaunchStats, SanitizerReport};
@@ -119,18 +119,22 @@ macro_rules! each_dim {
 
 /// Run one chunk on `dev`; commit the grid only on success. With a
 /// verify config, the output is spot-checked against the reference
-/// decomposition of the same chunk before committing.
+/// decomposition of the same chunk before committing; the sampled
+/// reference values are computed on the first checked attempt and kept
+/// in `expected` for the chunk's retries and migrations.
 fn chunk_on<K: Stencil>(
     runner: &ConvStencil<K>,
     grid: &mut K::Grid,
     dev: &mut Device,
     steps: usize,
     verify: Option<&VerifyConfig>,
+    expected: &mut Option<SampledReference>,
 ) -> Result<(), ConvStencilError> {
     let out = runner.try_run_on_device(dev, grid, steps)?;
     if let Some(cfg) = verify {
-        let want = runner.run_reference(grid, steps);
-        check_samples(&out.interior(), &want.interior(), cfg)
+        expected
+            .get_or_insert_with(|| runner.sampled_reference(grid, steps, cfg))
+            .check(&out)
             .map_err(|source| ConvStencilError::VerificationFailed { retries: 0, source })?;
     }
     *grid = out;
@@ -195,9 +199,10 @@ impl JobPayload {
         dev: &mut Device,
         steps: usize,
         verify: Option<&VerifyConfig>,
+        expected: &mut Option<SampledReference>,
     ) -> Result<(), ConvStencilError> {
         each_dim!(self, |runner, grid| chunk_on(
-            runner, grid, dev, steps, verify
+            runner, grid, dev, steps, verify, expected
         ))
     }
 
@@ -221,12 +226,18 @@ impl JobPayload {
         })
     }
 
-    fn grid_fields(&self) -> (Vec<usize>, usize, Vec<f64>) {
+    /// The grid's extent, halo and padded storage; the storage is lent
+    /// out and must come back through [`JobPayload::restore_grid`].
+    fn lend_grid(&mut self) -> (Vec<usize>, usize, Vec<f64>) {
         each_dim!(self, |_, grid| (
             grid.dims(),
             grid.halo(),
-            grid.padded().to_vec()
+            grid.take_padded()
         ))
+    }
+
+    fn restore_grid(&mut self, data: Vec<f64>) {
+        each_dim!(self, |_, grid| grid.restore_padded(data))
     }
 
     /// Rebuild a payload (runner + grid) from a checkpoint. The runner
@@ -588,8 +599,9 @@ impl Runtime {
 
             // The ladder for this chunk. `payload` only commits on
             // success, so every rung replays from the last committed
-            // state.
+            // state and the chunk's sampled reference serves every rung.
             let mut retries_here = 0u64;
+            let mut expected = None;
             loop {
                 let Some(slot_id) = active else {
                     payload.reference_chunk(chunk as usize);
@@ -608,6 +620,7 @@ impl Runtime {
                     &mut slot.device,
                     chunk as usize,
                     self.config.verify.as_ref(),
+                    &mut expected,
                 );
                 // Attempted work is real work: accumulate its ledger and
                 // sanitizer findings whether or not the chunk committed.
@@ -674,16 +687,18 @@ impl Runtime {
             report.steps_done = steps_done;
 
             if let Some(dir) = &self.config.checkpoint_dir {
-                let ck = self.snapshot(
+                let mut ck = self.snapshot(
                     &name,
-                    &payload,
+                    &mut payload,
                     steps_total,
                     steps_done,
                     &report,
                     &pool,
                     active,
                 );
-                ck.save(dir)?;
+                let saved = ck.save(dir);
+                payload.restore_grid(std::mem::take(&mut ck.grid_data));
+                saved?;
                 report.checkpoints_written += 1;
                 report
                     .events
@@ -725,12 +740,13 @@ impl Runtime {
         })
     }
 
-    /// Snapshot the complete job state as a checkpoint.
+    /// Snapshot the complete job state as a checkpoint. The grid data is
+    /// the payload's own storage, lent until the caller restores it.
     #[allow(clippy::too_many_arguments)]
     fn snapshot(
         &self,
         name: &str,
-        payload: &JobPayload,
+        payload: &mut JobPayload,
         steps_total: u64,
         steps_done: u64,
         report: &JobReport,
@@ -738,7 +754,7 @@ impl Runtime {
         active: Option<usize>,
     ) -> Checkpoint {
         let (radius, weights, fusion, boundary, variant) = payload.plan_fields();
-        let (grid_dims, grid_halo, grid_data) = payload.grid_fields();
+        let (grid_dims, grid_halo, grid_data) = payload.lend_grid();
         let slot0 = &pool.slot(0).device;
         Checkpoint {
             job: name.to_string(),

@@ -403,9 +403,16 @@ pub trait HaloGrid: Clone + std::fmt::Debug {
     fn with_halo(&self, halo: usize) -> Self;
     /// Overwrite the interior with `src`'s (same extent, any halo).
     fn copy_interior(&mut self, src: &Self);
+    /// Move the padded storage out, lending the values without a copy;
+    /// the grid holds no storage until [`HaloGrid::restore_padded`].
+    fn take_padded(&mut self) -> Vec<f64>;
+    /// Give back storage taken by [`HaloGrid::take_padded`]. Panics
+    /// unless it has the grid's padded length.
+    fn restore_padded(&mut self, data: Vec<f64>);
 }
 
-/// The [`HaloGrid`] methods every grid forwards to its inherent ones.
+/// The [`HaloGrid`] methods every grid implements alike: forwards to its
+/// inherent ones and moves of its storage.
 macro_rules! halo_grid_forwards {
     () => {
         fn halo(&self) -> usize {
@@ -422,6 +429,14 @@ macro_rules! halo_grid_forwards {
         }
         fn with_halo(&self, halo: usize) -> Self {
             Self::with_halo(self, halo)
+        }
+        fn take_padded(&mut self) -> Vec<f64> {
+            std::mem::take(&mut self.data)
+        }
+        fn restore_padded(&mut self, data: Vec<f64>) {
+            let len: usize = self.dims().iter().map(|d| d + 2 * self.halo).product();
+            assert_eq!(data.len(), len, "restored storage has the wrong length");
+            self.data = data;
         }
     };
 }
@@ -528,5 +543,25 @@ mod tests {
         assert_eq!(g.points(), 24);
         assert_eq!(g.interior().len(), 24);
         assert_eq!(g.padded().len(), 6 * 7 * 8);
+    }
+
+    #[test]
+    fn lent_storage_comes_back_unchanged() {
+        let mut g = Grid2D::new(3, 5, 1);
+        g.fill_random(4);
+        let before = g.clone();
+        let data = g.take_padded();
+        assert_eq!(data, before.padded());
+        assert!(g.padded().is_empty());
+        g.restore_padded(data);
+        assert_eq!(g, before);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong length")]
+    fn restoring_storage_of_another_shape_panics() {
+        let mut g = Grid1D::new(4, 1);
+        let _ = g.take_padded();
+        g.restore_padded(vec![0.0; 5]);
     }
 }
