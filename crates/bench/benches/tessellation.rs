@@ -28,7 +28,7 @@ fn bench_simulated_pipeline(c: &mut Criterion) {
     let (m, n) = (128, 256);
     let mut grid = Grid2D::new(m, n, 3);
     grid.fill_random(3);
-    let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
+    let exec = Exec2D::try_new(&kernel, m, n, VariantConfig::conv_stencil()).unwrap();
     let ext0 = exec.plan.try_build_ext(&grid).unwrap();
     c.bench_function("simulated_convstencil_app_128x256", |b| {
         b.iter(|| {

@@ -66,7 +66,8 @@ fn main() {
     let kernel = Shape::Box2D49P.kernel2d().unwrap();
     for br in [8usize, 16, 32, 64] {
         let variant = VariantConfig::conv_stencil();
-        let plan = Plan2D::with_block(size, size, 7, br, 8, variant);
+        let plan =
+            Plan2D::try_with_block(size, size, 7, br, 8, variant).expect("a valid block shape");
         if plan.layout.total * 8 > 164 * 1024 {
             rows.push(vec![
                 br.to_string(),
@@ -76,7 +77,8 @@ fn main() {
             ]);
             continue;
         }
-        let exec = Exec2D::with_plan(&kernel, plan.clone(), variant);
+        let exec = Exec2D::try_with_plan(&kernel, plan.clone(), variant)
+            .expect("the plan fits the kernel");
         let mut dev = Device::a100();
         let mut grid = Grid2D::new(size, size, 3);
         grid.fill_random(2);
@@ -115,11 +117,11 @@ fn main() {
         "GStencils/s (projected)".to_string(),
     ]];
     for constrain in [true, false] {
-        let mut exec = Exec3D::new(&kernel3, d, mn, mn, VariantConfig::conv_stencil());
+        let mut exec = Exec3D::try_new(&kernel3, d, mn, mn, VariantConfig::conv_stencil())
+            .expect("a valid 3D problem");
         if constrain {
             // bz = 1: the naive decomposition (each block one output
             // plane, re-reading its n_k input planes).
-            exec = Exec3D::new(&kernel3, d, mn, mn, VariantConfig::conv_stencil());
             exec.bz = 1;
         }
         let bz = exec.bz;

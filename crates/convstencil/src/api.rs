@@ -352,7 +352,6 @@ pub struct ConvStencil<K: Stencil> {
     fault: Option<FaultPlan>,
     tracing: bool,
     sanitize: bool,
-    pooling: bool,
 }
 
 /// 1D runner (§4.1).
@@ -422,7 +421,6 @@ impl<K: Stencil> ConvStencil<K> {
             fault: None,
             tracing: false,
             sanitize: false,
-            pooling: true,
         })
     }
 
@@ -472,16 +470,6 @@ impl<K: Stencil> ConvStencil<K> {
         self
     }
 
-    /// Toggle the device's per-launch scratch pooling (on by default).
-    /// The unpooled path allocates fresh per-block state every launch and
-    /// retires writes element-by-element; it exists as the reference
-    /// implementation for equivalence testing and produces bit-identical
-    /// outputs, counters, traces, and sanitizer reports.
-    pub fn with_scratch_pooling(mut self, on: bool) -> Self {
-        self.pooling = on;
-        self
-    }
-
     /// The automatic (or requested) fusion degree.
     pub fn fusion(&self) -> usize {
         self.fusion
@@ -508,7 +496,7 @@ impl<K: Stencil> ConvStencil<K> {
     }
 
     /// Build a device configured exactly like this runner's own implicit
-    /// device (tracing, sanitizer, scratch pooling), but with an explicit
+    /// device (tracing, sanitizer), but with an explicit
     /// fault-plan override. The multi-device runtime uses this to give
     /// every pool slot an independent [`FaultPlan`] and health state.
     pub fn pool_device(&self, fault: Option<FaultPlan>) -> Device {
@@ -819,7 +807,6 @@ impl<K: Stencil> ConvStencil<K> {
         dev.set_fault_plan(self.fault);
         dev.set_tracing(self.tracing);
         dev.set_sanitizer(self.sanitize);
-        dev.set_scratch_pooling(self.pooling);
         dev
     }
 

@@ -46,11 +46,7 @@ pub struct Plan1D {
 }
 
 impl Plan1D {
-    pub fn new(n: usize, nk: usize, variant: VariantConfig) -> Self {
-        Self::try_new(n, nk, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Plan1D::new`].
+    /// Plan an `n`-cell 1D problem for an `nk`-wide kernel.
     pub fn try_new(n: usize, nk: usize, variant: VariantConfig) -> Result<Self, ConvStencilError> {
         if !(nk % 2 == 1 && (3..=7).contains(&nk)) {
             return Err(ConvStencilError::UnsupportedNk { nk });
@@ -166,11 +162,8 @@ pub struct Exec1D {
 }
 
 impl Exec1D {
-    pub fn new(kernel: &Kernel1D, n: usize, variant: VariantConfig) -> Self {
-        Self::try_new(kernel, n, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec1D::new`].
+    /// Build an executor for `kernel` on an `n`-cell interior. The kernel
+    /// is used as-is (apply temporal fusion before constructing).
     pub fn try_new(
         kernel: &Kernel1D,
         n: usize,
@@ -546,7 +539,7 @@ mod tests {
     fn check(kernel: &Kernel1D, n: usize, apps: usize, variant: VariantConfig) {
         let mut grid = Grid1D::new(n, kernel.radius());
         grid.fill_random(8);
-        let exec = Exec1D::new(kernel, n, variant);
+        let exec = Exec1D::try_new(kernel, n, variant).unwrap();
         let mut dev = Device::a100();
         let ext0 = exec.plan.try_build_ext(&grid).unwrap();
         let ext =
@@ -587,7 +580,7 @@ mod tests {
         grid.fill_random(77);
         let want = run1d(&grid, &kernel, 1).interior();
         for (name, variant) in VariantConfig::breakdown() {
-            let exec = Exec1D::new(&kernel, n, variant);
+            let exec = Exec1D::try_new(&kernel, n, variant).unwrap();
             let mut dev = Device::a100();
             let ext0 = exec.plan.try_build_ext(&grid).unwrap();
             let ext =
@@ -605,7 +598,7 @@ mod tests {
     fn mma_count_is_2_ceil_nk_over_4_per_band() {
         let kernel = fuse1d(&Kernel1D::new(vec![0.25, 0.5, 0.25]), 3); // nk=7
         let n = 8192; // exactly 8 blocks of 128 groups
-        let exec = Exec1D::new(&kernel, n, VariantConfig::conv_stencil());
+        let exec = Exec1D::try_new(&kernel, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid1D::new(n, 3);
         let ext0 = exec.plan.try_build_ext(&grid).unwrap();
@@ -616,7 +609,7 @@ mod tests {
 
     #[test]
     fn block_covers_1024_outputs_at_nk7() {
-        let plan = Plan1D::new(100_000, 7, VariantConfig::conv_stencil());
+        let plan = Plan1D::try_new(100_000, 7, VariantConfig::conv_stencil()).unwrap();
         assert_eq!(plan.block_groups * (plan.nk + 1), 1024);
     }
 }

@@ -61,11 +61,6 @@ pub struct ExplicitBuffers {
 impl Exec2D {
     /// Build an executor for `kernel` on an `m x n` interior. The kernel
     /// is used as-is (apply temporal fusion before constructing).
-    pub fn new(kernel: &Kernel2D, m: usize, n: usize, variant: VariantConfig) -> Self {
-        Self::try_new(kernel, m, n, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec2D::new`].
     pub fn try_new(
         kernel: &Kernel2D,
         m: usize,
@@ -78,11 +73,6 @@ impl Exec2D {
 
     /// Build with an explicit plan (the 3D executor uses plane-shaped
     /// blocks).
-    pub fn with_plan(kernel: &Kernel2D, plan: Plan2D, variant: VariantConfig) -> Self {
-        Self::try_with_plan(kernel, plan, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec2D::with_plan`].
     pub fn try_with_plan(
         kernel: &Kernel2D,
         plan: Plan2D,
@@ -558,7 +548,7 @@ mod tests {
     fn check_variant(kernel: &Kernel2D, m: usize, n: usize, apps: usize, variant: VariantConfig) {
         let mut grid = Grid2D::new(m, n, kernel.radius());
         grid.fill_random(42);
-        let exec = Exec2D::new(kernel, m, n, variant);
+        let exec = Exec2D::try_new(kernel, m, n, variant).unwrap();
         let mut dev = Device::a100();
         let ext0 = exec.plan.try_build_ext(&grid).unwrap();
         let ext =
@@ -616,7 +606,7 @@ mod tests {
         grid.fill_random(7);
         let want = run2d(&grid, &kernel, 1).interior();
         for (name, variant) in VariantConfig::breakdown() {
-            let exec = Exec2D::new(&kernel, m, n, variant);
+            let exec = Exec2D::try_new(&kernel, m, n, variant).unwrap();
             let mut dev = Device::a100();
             let ext0 = exec.plan.try_build_ext(&grid).unwrap();
             let ext =
@@ -644,7 +634,7 @@ mod tests {
         // Divisible geometry: m multiple of 32, n multiple of 8(nk+1).
         let kernel = Kernel2D::box_uniform(3);
         let (m, n) = (64, 128);
-        let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
+        let exec = Exec2D::try_new(&kernel, m, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid2D::new(m, n, 3);
         let ext0 = exec.plan.try_build_ext(&grid).unwrap();
@@ -657,7 +647,7 @@ mod tests {
     fn padding_removes_load_bank_conflicts() {
         let kernel = Kernel2D::box_uniform(3);
         let run = |variant: VariantConfig| {
-            let exec = Exec2D::new(&kernel, 64, 128, variant);
+            let exec = Exec2D::try_new(&kernel, 64, 128, variant).unwrap();
             let mut dev = Device::a100();
             let mut grid = Grid2D::new(64, 128, 3);
             grid.fill_random(3);
@@ -683,7 +673,7 @@ mod tests {
     fn lut_variant_eliminates_divmod_and_branches() {
         let kernel = Kernel2D::box_uniform(3);
         let run = |variant: VariantConfig| {
-            let exec = Exec2D::new(&kernel, 64, 128, variant);
+            let exec = Exec2D::try_new(&kernel, 64, 128, variant).unwrap();
             let mut dev = Device::a100();
             let grid = Grid2D::new(64, 128, 3);
             let ext0 = exec.plan.try_build_ext(&grid).unwrap();
@@ -700,7 +690,7 @@ mod tests {
     #[test]
     fn global_reads_are_coalesced() {
         let kernel = Kernel2D::box_uniform(3);
-        let exec = Exec2D::new(&kernel, 64, 128, VariantConfig::conv_stencil());
+        let exec = Exec2D::try_new(&kernel, 64, 128, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid2D::new(64, 128, 3);
         let ext0 = exec.plan.try_build_ext(&grid).unwrap();
@@ -713,7 +703,7 @@ mod tests {
     fn explicit_variant_pays_global_traffic() {
         let kernel = fuse2d(&Kernel2D::box_uniform(1), 3);
         let run = |variant: VariantConfig| {
-            let exec = Exec2D::new(&kernel, 64, 128, variant);
+            let exec = Exec2D::try_new(&kernel, 64, 128, variant).unwrap();
             let mut dev = Device::a100();
             let grid = Grid2D::new(64, 128, 3);
             let ext0 = exec.plan.try_build_ext(&grid).unwrap();

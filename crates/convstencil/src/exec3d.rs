@@ -80,11 +80,7 @@ pub struct ExplicitBuffers3D {
 }
 
 impl Exec3D {
-    pub fn new(kernel: &Kernel3D, d: usize, m: usize, n: usize, variant: VariantConfig) -> Self {
-        Self::try_new(kernel, d, m, n, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Exec3D::new`].
+    /// Build an executor for `kernel` on a `d x m x n` interior.
     pub fn try_new(
         kernel: &Kernel3D,
         d: usize,
@@ -700,7 +696,7 @@ mod tests {
         let (d, m, n) = dims;
         let mut grid = Grid3D::new(d, m, n, kernel.radius());
         grid.fill_random(5);
-        let exec = Exec3D::new(kernel, d, m, n, variant);
+        let exec = Exec3D::try_new(kernel, d, m, n, variant).unwrap();
         let mut dev = Device::a100();
         let ext0 = exec.try_build_ext(&grid).unwrap();
         let ext =
@@ -731,7 +727,7 @@ mod tests {
     fn heat3d_uses_both_tcu_and_cuda_paths() {
         // §4.2: small planes on CUDA cores, the center plane on TCUs.
         let k = Kernel3D::star(0.4, &[0.1]);
-        let exec = Exec3D::new(&k, 8, 8, 64, VariantConfig::conv_stencil());
+        let exec = Exec3D::try_new(&k, 8, 8, 64, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid3D::new(8, 8, 64, 1);
         let ext0 = exec.try_build_ext(&grid).unwrap();
@@ -747,7 +743,7 @@ mod tests {
     fn box3d_mma_count_is_three_planes_of_2d() {
         let k = Kernel3D::box_uniform(1); // nk = 3
         let (d, m, n) = (8, 16, 64); // divisible by block 8 x 64
-        let exec = Exec3D::new(&k, d, m, n, VariantConfig::conv_stencil());
+        let exec = Exec3D::try_new(&k, d, m, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid3D::new(d, m, n, 1);
         let ext0 = exec.try_build_ext(&grid).unwrap();
@@ -761,7 +757,7 @@ mod tests {
     #[test]
     fn cuda_variant_runs_all_planes_scalar() {
         let k = Kernel3D::box_uniform(1);
-        let exec = Exec3D::new(&k, 6, 8, 32, VariantConfig::implicit_cuda());
+        let exec = Exec3D::try_new(&k, 6, 8, 32, VariantConfig::implicit_cuda()).unwrap();
         let mut dev = Device::a100();
         let mut grid = Grid3D::new(6, 8, 32, 1);
         grid.fill_random(3);
@@ -784,7 +780,7 @@ mod tests {
         grid.fill_random(21);
         let want = run3d(&grid, &k, 1);
         for (name, variant) in crate::variants::VariantConfig::breakdown() {
-            let exec = Exec3D::new(&k, d, m, n, variant);
+            let exec = Exec3D::try_new(&k, d, m, n, variant).unwrap();
             let mut dev = Device::a100();
             let ext0 = exec.try_build_ext(&grid).unwrap();
             let ext =

@@ -147,11 +147,6 @@ pub struct Plan2D {
 
 impl Plan2D {
     /// Plan with the paper's 2D block shape (32 x 8 groups).
-    pub fn new_2d(m: usize, n: usize, nk: usize, variant: VariantConfig) -> Self {
-        Self::try_new_2d(m, n, nk, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Plan2D::new_2d`].
     pub fn try_new_2d(
         m: usize,
         n: usize,
@@ -162,11 +157,6 @@ impl Plan2D {
     }
 
     /// Plan with the paper's 3D per-plane block shape (8 rows x 64 cols).
-    pub fn new_3d_plane(m: usize, n: usize, nk: usize, variant: VariantConfig) -> Self {
-        Self::try_new_3d_plane(m, n, nk, variant).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Plan2D::new_3d_plane`].
     pub fn try_new_3d_plane(
         m: usize,
         n: usize,
@@ -180,22 +170,8 @@ impl Plan2D {
         Self::try_with_block(m, n, nk, 8, groups, variant)
     }
 
-    /// Plan with an explicit block shape.
-    pub fn with_block(
-        m: usize,
-        n: usize,
-        nk: usize,
-        block_rows: usize,
-        block_groups: usize,
-        variant: VariantConfig,
-    ) -> Self {
-        Self::try_with_block(m, n, nk, block_rows, block_groups, variant)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`Plan2D::with_block`]: validates the kernel edge,
-    /// grid extents, block shape, and layout invariants instead of
-    /// panicking.
+    /// Plan with an explicit block shape, validating the kernel edge,
+    /// grid extents, block shape, and layout invariants.
     pub fn try_with_block(
         m: usize,
         n: usize,
@@ -472,7 +448,7 @@ mod tests {
     #[test]
     fn box49_tile_matches_paper_fig5_geometry() {
         // 32-row block, n_k = 7: A tile rows are 266 doubles, padded to 268.
-        let plan = Plan2D::new_2d(256, 512, 7, v5());
+        let plan = Plan2D::try_new_2d(256, 512, 7, v5()).unwrap();
         assert_eq!(plan.layout.raw_cols, 266);
         assert_eq!(plan.layout.stride, 268);
         assert_eq!(plan.layout.pad, 2);
@@ -480,14 +456,14 @@ mod tests {
 
     #[test]
     fn unpadded_variant_has_raw_stride() {
-        let plan = Plan2D::new_2d(256, 512, 7, VariantConfig::implicit_tcu());
+        let plan = Plan2D::try_new_2d(256, 512, 7, VariantConfig::implicit_tcu()).unwrap();
         assert_eq!(plan.layout.stride, plan.layout.raw_cols);
     }
 
     #[test]
     fn shared_fits_a100_capacity() {
         for nk in [3, 5, 7] {
-            let plan = Plan2D::new_2d(1024, 1024, nk, v5());
+            let plan = Plan2D::try_new_2d(1024, 1024, nk, v5()).unwrap();
             assert!(
                 plan.layout.total * 8 <= 164 * 1024,
                 "nk={nk}: {} B",
@@ -498,7 +474,7 @@ mod tests {
 
     #[test]
     fn block_counts_cover_output() {
-        let plan = Plan2D::new_2d(100, 130, 3, v5());
+        let plan = Plan2D::try_new_2d(100, 130, 3, v5()).unwrap();
         assert_eq!(plan.blocks_x, 4); // ceil(100/32)
                                       // groups: ceil(130/4) = 33; blocks_g = ceil(33/8) = 5.
         assert_eq!(plan.blocks_g, 5);
@@ -509,7 +485,7 @@ mod tests {
     fn ext_roundtrip_preserves_interior_and_halo_window() {
         let mut g = Grid2D::new(20, 30, 3);
         g.fill_random(17);
-        let plan = Plan2D::new_2d(20, 30, 7, v5());
+        let plan = Plan2D::try_new_2d(20, 30, 7, v5()).unwrap();
         let ext = plan.try_build_ext(&g).unwrap();
         // Interior maps through ext_idx.
         for x in 0..20 {
@@ -530,7 +506,7 @@ mod tests {
     #[test]
     fn read_and_write_columns_are_sector_aligned() {
         for nk in [3, 5, 7] {
-            let plan = Plan2D::new_2d(64, 200, nk, v5());
+            let plan = Plan2D::try_new_2d(64, 200, nk, v5()).unwrap();
             for bg in 0..plan.blocks_g {
                 assert_eq!(plan.read_col0(bg) % 4, 0, "nk={nk} bg={bg}");
                 assert_eq!(plan.write_col0(bg) % 4, 0, "nk={nk} bg={bg}");
@@ -543,7 +519,7 @@ mod tests {
     fn lut_agrees_with_eq5_eq6_maps() {
         // LUT addresses must match the analytical stencil2row mapping for
         // the block-local coordinate frame.
-        let plan = Plan2D::new_2d(64, 128, 7, v5());
+        let plan = Plan2D::try_new_2d(64, 128, 7, v5()).unwrap();
         let lut = plan.build_scatter_lut(v5());
         let nk = plan.nk;
         let lay = &plan.layout;
@@ -579,7 +555,7 @@ mod tests {
 
     #[test]
     fn branch_variant_lut_skips_instead_of_dirtying() {
-        let plan = Plan2D::new_2d(64, 128, 7, VariantConfig::implicit_tcu());
+        let plan = Plan2D::try_new_2d(64, 128, 7, VariantConfig::implicit_tcu()).unwrap();
         let lut = plan.build_scatter_lut(VariantConfig::implicit_tcu());
         let nk = plan.nk;
         let mut skips = 0;
@@ -599,7 +575,7 @@ mod tests {
 
     #[test]
     fn lut_never_writes_weights_region() {
-        let plan = Plan2D::new_2d(96, 96, 5, v5());
+        let plan = Plan2D::try_new_2d(96, 96, 5, v5()).unwrap();
         let lut = plan.build_scatter_lut(v5());
         for t in 0..(plan.block_rows + plan.nk - 1) {
             for i in 0..plan.span_aligned {
@@ -612,7 +588,7 @@ mod tests {
 
     #[test]
     fn plane_plan_for_3d_blocks() {
-        let plan = Plan2D::new_3d_plane(128, 128, 3, v5());
+        let plan = Plan2D::try_new_3d_plane(128, 128, 3, v5()).unwrap();
         assert_eq!(plan.block_rows, 8);
         assert_eq!(plan.block_groups, 16); // 64 output columns
     }
@@ -639,7 +615,7 @@ mod tests {
 
     #[test]
     fn try_build_ext_rejects_bad_grids() {
-        let plan = Plan2D::new_2d(20, 30, 7, v5());
+        let plan = Plan2D::try_new_2d(20, 30, 7, v5()).unwrap();
         let wrong_shape = Grid2D::new(21, 30, 3);
         assert!(matches!(
             plan.try_build_ext(&wrong_shape),
@@ -650,12 +626,6 @@ mod tests {
             plan.try_build_ext(&thin_halo),
             Err(ConvStencilError::HaloTooSmall { halo: 1, radius: 3 })
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "n_k must be 3, 5 or 7")]
-    fn panicking_wrapper_keeps_classic_message() {
-        Plan2D::new_2d(64, 64, 4, v5());
     }
 
     #[test]

@@ -466,7 +466,7 @@ mod tests {
         verify_weights(&WeightMatrices::from_kernel2d(&k)).unwrap();
         let k1 = Kernel1D::new(vec![0.2, 0.5, 0.2]);
         verify_weights(&WeightMatrices::from_kernel1d(&k1)).unwrap();
-        let exec = Exec1D::new(&k1, 512, VariantConfig::conv_stencil());
+        let exec = Exec1D::try_new(&k1, 512, VariantConfig::conv_stencil()).unwrap();
         exec.verify().unwrap();
     }
 
@@ -474,7 +474,7 @@ mod tests {
     fn mutated_lut_entry_is_rejected_with_a_reason() {
         let variant = VariantConfig::conv_stencil();
         let k = Kernel2D::box_uniform(1);
-        let mut exec = Exec2D::new(&k, 64, 64, variant);
+        let mut exec = Exec2D::try_new(&k, 64, 64, variant).unwrap();
         exec.verify().unwrap();
         // Redirect one useful cell to the wrong column.
         let lane = exec.plan.pre + 1;

@@ -92,7 +92,9 @@ pub struct Checkpoint {
     pub boundary: String,
     /// The four variant switches, in declaration order.
     pub variant: [bool; 4],
-    /// Runner observability flags: tracing, sanitizer, scratch pooling.
+    /// Runner observability flags: tracing, sanitizer, and a third flag
+    /// once named scratch pooling. The third is always written as 1 and
+    /// ignored on read, so a file that stores 0 resumes identically.
     pub flags: [bool; 3],
     pub steps_total: u64,
     pub steps_done: u64,

@@ -160,14 +160,13 @@ fn decode<K: Stencil>(
             ck.weights.len()
         )));
     }
-    let [tracing, sanitize, pooling] = ck.flags;
+    let [tracing, sanitize, _] = ck.flags;
     let runner =
         ConvStencil::try_with_fusion(K::from_weights(ck.radius, ck.weights.clone()), ck.fusion)?
             .with_variant(variant)
             .with_boundary(boundary)
             .with_tracing(tracing)
-            .with_sanitizer(sanitize)
-            .with_scratch_pooling(pooling);
+            .with_sanitizer(sanitize);
     let mut grid = K::Grid::zeros(&ck.grid_dims, ck.grid_halo);
     if grid.padded().len() != ck.grid_data.len() {
         return Err(bad_grid(format!(
@@ -361,22 +360,6 @@ pub struct JobOutcome {
     /// True when the run stopped at the `halt_after_checkpoints` hook
     /// rather than completing `steps_total`.
     pub halted: bool,
-}
-
-/// Ledger delta between two snapshots of the same device.
-fn counters_delta(before: &Counters, after: &Counters) -> Counters {
-    let mut delta = Counters::default();
-    for ((name, a), (_, b)) in after.field_pairs().iter().zip(before.field_pairs().iter()) {
-        delta.set_field(name, a.saturating_sub(*b));
-    }
-    delta
-}
-
-fn launch_delta(before: &LaunchStats, after: &LaunchStats) -> LaunchStats {
-    LaunchStats {
-        kernel_launches: after.kernel_launches.saturating_sub(before.kernel_launches),
-        total_blocks: after.total_blocks.saturating_sub(before.total_blocks),
-    }
 }
 
 /// Failures the degradation ladder absorbs; anything else propagates.
@@ -624,11 +607,12 @@ impl Runtime {
                 );
                 // Attempted work is real work: accumulate its ledger and
                 // sanitizer findings whether or not the chunk committed.
-                report.counters += counters_delta(&counters_before, &slot.device.counters);
-                report.launch_stats = merged(
-                    &report.launch_stats,
-                    &launch_delta(&launches_before, &slot.device.launch_stats),
-                );
+                report.counters += slot.device.counters.saturating_sub(&counters_before);
+                let launches = slot.device.launch_stats;
+                report.launch_stats.merge(&LaunchStats {
+                    kernel_launches: launches.kernel_launches - launches_before.kernel_launches,
+                    total_blocks: launches.total_blocks - launches_before.total_blocks,
+                });
                 if sanitizing {
                     if let Some(agg) = &mut report.sanitizer {
                         agg.merge(slot.device.take_sanitizer_report());
@@ -809,10 +793,4 @@ impl Runtime {
                 .collect(),
         }
     }
-}
-
-fn merged(a: &LaunchStats, b: &LaunchStats) -> LaunchStats {
-    let mut out = *a;
-    out.merge(b);
-    out
 }

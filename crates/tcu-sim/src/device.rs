@@ -49,9 +49,8 @@ struct WriteRun {
 /// A block's buffered global writes: run metadata over one flat value
 /// arena (one growable allocation per block instead of one `Vec` per
 /// store), plus the single-element scatter list. Retirement replays
-/// `runs` in push order, then `scatter` — the same order as the legacy
-/// per-`Vec` representation, so results are unchanged.
-#[derive(Debug, Default)]
+/// `runs` in push order, then `scatter`.
+#[derive(Debug)]
 struct WriteLog {
     runs: Vec<WriteRun>,
     data: Vec<f64>,
@@ -79,8 +78,8 @@ impl WriteLog {
 
 /// Recycled per-block working memory: shared-memory backing store,
 /// sanitizer shadow vectors, and the tracing phase log. Returned to the
-/// pool as soon as the block body finishes, so pooling holds no more live
-/// shared memory at once than the unpooled path does.
+/// pool as soon as the block body finishes, so the pool holds no more
+/// live shared memory at once than one block needs.
 #[derive(Debug, Default)]
 struct BlockScratch {
     shared: Vec<f64>,
@@ -101,14 +100,6 @@ struct ScratchPool {
 }
 
 impl ScratchPool {
-    fn take_block(&mut self) -> BlockScratch {
-        self.blocks.pop().unwrap_or_default()
-    }
-
-    fn put_block(&mut self, scratch: BlockScratch) {
-        self.blocks.push(scratch);
-    }
-
     fn take_log(&mut self, data_hint: usize) -> WriteLog {
         self.logs.pop().unwrap_or_else(|| WriteLog {
             runs: Vec::new(),
@@ -129,7 +120,7 @@ struct LaunchOutput<'a> {
     buf: BufferId,
     /// The buffer's contents, moved out of [`GlobalMemory`] for the
     /// launch; writes to `buf` land here directly. `None` when the launch
-    /// keeps the write log (sanitizer on, or scratch pooling off).
+    /// keeps the write log (sanitizer on).
     data: Option<&'a mut [f64]>,
 }
 
@@ -209,12 +200,8 @@ pub struct Device {
     /// Accumulated sanitizer findings while sanitizing.
     sanitizer: SanitizerReport,
     /// Launch scratch pool (shared memory, shadow vectors, write logs)
-    /// reused across blocks and launches while `pooling` is on.
+    /// reused across blocks and launches.
     pool: ScratchPool,
-    /// Whether launches draw per-block state from the scratch pool and
-    /// retire write runs with bulk copies (on by default). Off = the
-    /// legacy fresh-allocation, element-by-element reference path.
-    pooling: bool,
     /// Capacity hint (f64 elements) for freshly pooled write arenas.
     write_hint: usize,
 }
@@ -235,7 +222,6 @@ impl Device {
             sanitize: false,
             sanitizer: SanitizerReport::default(),
             pool: ScratchPool::default(),
-            pooling: true,
             write_hint: 0,
         }
     }
@@ -292,20 +278,12 @@ impl Device {
 
     // ---- Scratch pooling ----------------------------------------------
 
-    /// Enable or disable the launch scratch pool (on by default). While
-    /// on, per-block shared memory, sanitizer shadows, phase logs, and
-    /// write logs are recycled across blocks and launches, and buffered
-    /// write runs retire via bulk slice copies. While off, every block
-    /// allocates fresh state and writes retire element-by-element — the
-    /// legacy reference path the equivalence tests compare against.
-    /// Outputs, counters, traces, and sanitizer reports are bit-identical
-    /// either way.
-    pub fn set_scratch_pooling(&mut self, on: bool) {
-        self.pooling = on;
-    }
-
+    /// Always `true`: launches recycle per-block shared memory, sanitizer
+    /// shadows, phase logs and write logs across blocks and launches.
+    /// Kept only because the `perfbench` package still reads it; remove it
+    /// once that call is gone.
     pub fn scratch_pooling(&self) -> bool {
-        self.pooling
+        true
     }
 
     /// Pre-size freshly pooled write arenas for about `elems` buffered
@@ -473,12 +451,11 @@ impl Device {
     /// log retires a block's runs before its lone elements. The two differ
     /// only for a block that writes one address twice.
     ///
-    /// Reading `out` during the launch panics. With the sanitizer on, or
-    /// with scratch pooling off, the launch keeps the write log, so shadow
-    /// checks and the reference path are untouched. Launch-level faults
-    /// fire before `out` is moved, so on `Err` it is in place and
-    /// unchanged. If a block panics, `out` is put back on unwind, holding
-    /// the writes that landed before the panic.
+    /// Reading `out` during the launch panics. With the sanitizer on, the
+    /// launch keeps the write log, so shadow checks are untouched.
+    /// Launch-level faults fire before `out` is moved, so on `Err` it is in
+    /// place and unchanged. If a block panics, `out` is put back on unwind,
+    /// holding the writes that landed before the panic.
     pub fn try_launch_into<F>(
         &mut self,
         out: BufferId,
@@ -490,6 +467,21 @@ impl Device {
         F: Fn(usize, &mut BlockCtx),
     {
         self.launch_blocks(Some(out), num_blocks, shared_len, kernel)
+    }
+
+    /// Charge an aborted launch's fault counter. With tracing on it still
+    /// gets a span, so the trace's counter sum matches the device ledger.
+    fn abort_launch(&mut self, attempt: u64, wall_start: Option<Instant>, counted: Counters) {
+        self.counters += counted;
+        if let Some(t0) = wall_start {
+            self.trace.push(Span {
+                phase: Phase::LaunchFault,
+                launch: attempt,
+                counters: counted,
+                modeled_sec: 0.0,
+                wall_ns: t0.elapsed().as_nanos() as u64,
+            });
+        }
     }
 
     fn launch_blocks<F>(
@@ -524,57 +516,23 @@ impl Device {
             // sticky death and rides out an ECC burst by advancing past it.
             if plan.die_at_launch.is_some_and(|d| attempt >= d) {
                 self.dead = true;
-                self.counters.device_lost_events += 1;
-                if let Some(t0) = wall_start {
-                    self.trace.push(Span {
-                        phase: Phase::LaunchFault,
-                        launch: attempt,
-                        counters: Counters {
-                            device_lost_events: 1,
-                            ..Counters::default()
-                        },
-                        modeled_sec: 0.0,
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                    });
-                }
+                let lost = Counters {
+                    device_lost_events: 1,
+                    ..Counters::default()
+                };
+                self.abort_launch(attempt, wall_start, lost);
                 return Err(DeviceError::DeviceLost {
                     launch_attempt: attempt,
                 });
             }
-            if plan.ecc_burst.is_some_and(|b| b.contains(attempt)) {
-                self.counters.launch_faults_injected += 1;
-                if let Some(t0) = wall_start {
-                    self.trace.push(Span {
-                        phase: Phase::LaunchFault,
-                        launch: attempt,
-                        counters: Counters {
-                            launch_faults_injected: 1,
-                            ..Counters::default()
-                        },
-                        modeled_sec: 0.0,
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                    });
-                }
-                return Err(DeviceError::InjectedLaunchFailure {
-                    launch_attempt: attempt,
-                });
-            }
-            if fault::launch_fails(&plan, self.fault_epoch, attempt) {
-                self.counters.launch_faults_injected += 1;
-                // With tracing on, the aborted launch still gets a span so
-                // the trace's counter sum matches the device ledger.
-                if let Some(t0) = wall_start {
-                    self.trace.push(Span {
-                        phase: Phase::LaunchFault,
-                        launch: attempt,
-                        counters: Counters {
-                            launch_faults_injected: 1,
-                            ..Counters::default()
-                        },
-                        modeled_sec: 0.0,
-                        wall_ns: t0.elapsed().as_nanos() as u64,
-                    });
-                }
+            if plan.ecc_burst.is_some_and(|b| b.contains(attempt))
+                || fault::launch_fails(&plan, self.fault_epoch, attempt)
+            {
+                let failed = Counters {
+                    launch_faults_injected: 1,
+                    ..Counters::default()
+                };
+                self.abort_launch(attempt, wall_start, failed);
                 return Err(DeviceError::InjectedLaunchFailure {
                     launch_attempt: attempt,
                 });
@@ -599,7 +557,7 @@ impl Device {
                 }
             }
         }
-        let in_place = out.filter(|_| self.pooling && !self.sanitize);
+        let in_place = out.filter(|_| !self.sanitize);
         let mut taken = TakenOutput::new(&mut self.global, in_place);
         let (global, mut out_data) = taken.split();
         let cfg = &self.config;
@@ -607,26 +565,13 @@ impl Device {
         let fault_epoch = self.fault_epoch;
         let tracing = self.tracing;
         let sanitize = self.sanitize;
-        let pooling = self.pooling;
         // In-place blocks rarely log anything, so their arenas start empty.
-        let write_hint = if in_place.is_some() {
-            0
-        } else {
-            self.write_hint
-        };
+        let write_hint = in_place.map_or(self.write_hint, |_| 0);
         let pool = &mut self.pool;
         let mut outcomes: Vec<BlockOutcome> = (0..num_blocks)
             .map(|block_id| {
-                let mut scratch = if pooling {
-                    pool.take_block()
-                } else {
-                    BlockScratch::default()
-                };
-                let writes = if pooling {
-                    pool.take_log(write_hint)
-                } else {
-                    WriteLog::default()
-                };
+                let mut scratch = pool.blocks.pop().unwrap_or_default();
+                let writes = pool.take_log(write_hint);
                 let mut ctx = BlockCtx {
                     config: cfg,
                     global,
@@ -684,23 +629,17 @@ impl Device {
                         per[phase.index()] += next_snap.saturating_sub(&snap);
                         wall[phase.index()] += (next_at - at).as_nanos() as u64;
                     }
-                    if pooling {
-                        scratch.marks = marks;
-                    }
+                    scratch.marks = marks;
                     (per, wall)
                 });
                 let sanitizer = shadow.map(|shadow| {
                     let (report, written, exempt) = shadow.into_parts();
-                    if pooling {
-                        scratch.written = written;
-                        scratch.exempt = exempt;
-                    }
+                    scratch.written = written;
+                    scratch.exempt = exempt;
                     report
                 });
-                if pooling {
-                    scratch.shared = shared.into_data();
-                    pool.put_block(scratch);
-                }
+                scratch.shared = shared.into_data();
+                pool.blocks.push(scratch);
                 BlockOutcome {
                     counters,
                     writes,
@@ -714,29 +653,11 @@ impl Device {
         for outcome in &mut outcomes {
             self.counters += outcome.counters;
             let log = &outcome.writes;
-            if self.pooling {
-                // Bulk retirement: each run is a strictly consecutive
-                // address range, so one slice copy is observably identical
-                // to the per-element replay below.
-                for run in &log.runs {
-                    self.global.apply_run(
-                        run.buf,
-                        run.start,
-                        &log.data[run.off..run.off + run.len],
-                    );
-                }
-            } else {
-                // Reference retirement: element-by-element, exactly the
-                // legacy path the equivalence tests pin against.
-                for run in &log.runs {
-                    self.global.apply_writes(
-                        &log.data[run.off..run.off + run.len]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &v)| (run.buf, run.start + i, v))
-                            .collect::<Vec<_>>(),
-                    );
-                }
+            // Each run is a strictly consecutive address range, retired
+            // with one slice copy.
+            for run in &log.runs {
+                self.global
+                    .apply_run(run.buf, run.start, &log.data[run.off..run.off + run.len]);
             }
             self.global.apply_writes(&log.scatter);
             if let Some(report) = outcome.sanitizer.take() {
@@ -783,10 +704,8 @@ impl Device {
                 wall_ns: launch_ns.saturating_sub(measured),
             });
         }
-        if self.pooling {
-            for outcome in outcomes {
-                self.pool.put_log(outcome.writes);
-            }
+        for outcome in outcomes {
+            self.pool.put_log(outcome.writes);
         }
         Ok(())
     }
@@ -1643,71 +1562,14 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_unpooled_launches_match_bitwise() {
-        // One kernel exercising span writes, gappy warp writes (runs +
-        // scatters), shared memory, phases, and faults — run on the pooled
-        // fast path and the legacy reference path. Everything observable
-        // must be bit-identical.
-        let run = |pooling: bool| {
-            let mut dev = Device::a100();
-            dev.set_scratch_pooling(pooling);
-            dev.set_tracing(true);
-            dev.set_sanitizer(true);
-            dev.set_fault_plan(Some(FaultPlan::quiet(3).with_smem_corrupt_rate(0.2)));
-            let src = dev.alloc_from(&(0..256).map(|i| i as f64 * 0.5).collect::<Vec<_>>());
-            let dst = dev.alloc(512);
-            for _ in 0..3 {
-                dev.launch(8, 128, |block, ctx| {
-                    ctx.phase(Phase::SmemScatter);
-                    let vals = ctx.gmem_read_span(src, block * 32, 32);
-                    let addrs: Vec<usize> = (0..32).collect();
-                    ctx.smem_store(&addrs, &vals);
-                    ctx.phase(Phase::Epilogue);
-                    let mut out = [0.0; 32];
-                    ctx.smem_load(&addrs, &mut out);
-                    ctx.gmem_write_span(dst, block * 64, &out);
-                    // Gappy warp write: runs of 2 + lone scatters.
-                    let waddrs = [
-                        block * 64 + 40,
-                        block * 64 + 41,
-                        INACTIVE,
-                        block * 64 + 50,
-                        INACTIVE,
-                        block * 64 + 52,
-                    ];
-                    let wvals = [1.0, 2.0, 0.0, 3.0, 0.0, 4.0];
-                    ctx.gmem_write_warp(dst, &waddrs, &wvals);
-                });
-            }
-            let out: Vec<u64> = dev.download(dst).iter().map(|v| v.to_bits()).collect();
-            let mut trace = dev.take_trace();
-            for span in &mut trace.spans {
-                // Wall time is host clock noise, not part of the
-                // bit-exactness contract (counters/modeled time are).
-                span.wall_ns = 0;
-            }
-            (out, dev.counters, trace, dev.take_sanitizer_report())
-        };
-        let pooled = run(true);
-        let reference = run(false);
-        assert_eq!(pooled.0, reference.0, "outputs differ");
-        assert_eq!(pooled.1, reference.1, "counters differ");
-        assert_eq!(pooled.2, reference.2, "traces differ");
-        assert_eq!(pooled.3, reference.3, "sanitizer reports differ");
-    }
-
-    #[test]
     fn overlapping_writes_retire_in_block_order_when_pooled() {
-        for pooling in [true, false] {
-            let mut dev = Device::a100();
-            dev.set_scratch_pooling(pooling);
-            let dst = dev.alloc(8);
-            dev.launch(4, 16, |block, ctx| {
-                ctx.gmem_write_span(dst, 0, &[block as f64; 4]);
-            });
-            // Later blocks retire later: block 3 wins.
-            assert_eq!(dev.download(dst)[..4], [3.0; 4]);
-        }
+        let mut dev = Device::a100();
+        let dst = dev.alloc(8);
+        dev.launch(4, 16, |block, ctx| {
+            ctx.gmem_write_span(dst, 0, &[block as f64; 4]);
+        });
+        // Later blocks retire later: block 3 wins.
+        assert_eq!(dev.download(dst)[..4], [3.0; 4]);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Golden digests: the output bits and the full counter ledger of every
 //! dimension x Fig. 6 variant x boundary condition at small shapes, plus
-//! one chunked, checkpointed and resumed 1D runtime job.
+//! one chunked, checkpointed and resumed 1D runtime job. A second table
+//! pins instrumented runs (tracing, sanitizer and fault injection all on,
+//! plus one verified run that retries): their output bits, ledger and
+//! fault counts, per-phase trace and sanitizer report.
 //!
 //! The table pins results bit for bit, so a refactor of the pipeline can
 //! be checked without keeping a second implementation alive. Each entry
@@ -14,11 +17,12 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use convstencil_repro::convstencil::{
-    ConvStencil1D, ConvStencil2D, ConvStencil3D, VariantConfig, VerifyConfig,
+    ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport, Stencil, VariantConfig,
+    VerifyConfig,
 };
 use convstencil_repro::runtime::{crc64, Job, JobPayload, Runtime, RuntimeConfig};
-use convstencil_repro::stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, Shape};
-use convstencil_repro::tcu_sim::{Counters, LaunchStats};
+use convstencil_repro::stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, HaloGrid, Shape};
+use convstencil_repro::tcu_sim::{Counters, FaultPlan, LaunchStats};
 
 /// `(case, crc64 of the output bits, crc64 of the ledger)`, one line each.
 #[rustfmt::skip]
@@ -86,11 +90,39 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("job-1d/resumed", 0x9b53cf24aebf3f4c, 0x9011b76a45ddefb0),
 ];
 
+/// `(case, crc64 of the output bits, of the ledger plus the report's
+/// fault and retry counts, of the JSONL trace with every `wall_ns` zeroed,
+/// of the sanitizer report's `Debug` rendering or 0 without one)`.
+#[rustfmt::skip]
+const INSTRUMENTED: &[(&str, u64, u64, u64, u64)] = &[
+    ("1d/I", 0xbd1d3da15c57876a, 0xe1c75cb181364a44, 0x800e1dc6e5cfb6b1, 0xd6763914f5507747),
+    ("2d/I", 0x96104afb068496ed, 0x36736f5942faa8a6, 0xa677f406d439cb71, 0xd617547e5dd8bbd2),
+    ("3d/I", 0x0c8a52f399586f0e, 0x4447b042b1d8cf52, 0x5501dafe201ba61c, 0x41c5a35f8c3f500e),
+    ("1d/II", 0xc78d0b321c2b1972, 0x0215f9c7e1d5ce46, 0xac955e54d18f8e75, 0xd6c49dad5d270123),
+    ("2d/II", 0xa15f27645db5693c, 0x6e53dc9213a20bb9, 0xe1c8fdec7c6fb07f, 0x64440b0c4d197445),
+    ("3d/II", 0xd24d558ed7a92f87, 0x9caf054f3d54e6d6, 0x97295f9b0b8eeedf, 0x98b24b2c11cb7793),
+    ("1d/III", 0x6b391d6440811559, 0x53f1d3d0e7c062cd, 0x071a4dbbc541c078, 0x9a1e1677295bba28),
+    ("2d/III", 0xe7707a526de037e8, 0xc9ac6e25d17b7c5b, 0x610555bd6b44a2de, 0x9bad2aae835f553c),
+    ("3d/III", 0x99ed2b3959cb618d, 0x61791910940e5bab, 0xea3c217bb7eb5b62, 0x5131e57fd57e783b),
+    ("1d/IV", 0x6b391d6440811559, 0x762fbdd08bd040e2, 0x1d3dad2895642a29, 0xabb8c17eeaf8a406),
+    ("2d/IV", 0xe7707a526de037e8, 0x5405322b40b9683d, 0x5e28f30bb6450e2d, 0x3c8a34654787acbe),
+    ("3d/IV", 0x30ec8ea1fb08c214, 0xc5494c9e9c69bf08, 0xfd97ad44420c63cd, 0xafd8061b2d9c7cfd),
+    ("1d/V", 0x5d70ab52e23cc67f, 0x40b7afa2f9e0793e, 0x56221ab1aeedcde1, 0x8a1d1a95b0b89e5d),
+    ("2d/V", 0x1a0b62bc961fa92f, 0xe732367e71369cef, 0xc6fa2ea0d46241a5, 0x4db6d7289b0da3ea),
+    ("3d/V", 0xac7ef547aa1cab89, 0x5948b26e3dcc8270, 0x9e50fa7ce0acddc1, 0x8eec7e75a3105b4a),
+    ("2d-heat-2d/verified", 0x6510ec540e53119b, 0xbae9a19ba630a393, 0x85747f5cf12065b2, 0x0000000000000000),
+];
+
 fn digest(padded: &[f64], counters: &Counters, launch: &LaunchStats) -> (u64, u64) {
     let bits: Vec<u8> = padded
         .iter()
         .flat_map(|v| v.to_bits().to_le_bytes())
         .collect();
+    let ledger = ledger_text(counters, launch);
+    (crc64(&bits), crc64(ledger.as_bytes()))
+}
+
+fn ledger_text(counters: &Counters, launch: &LaunchStats) -> String {
     let mut ledger = String::new();
     for (name, value) in counters.field_pairs() {
         write!(ledger, "{name}={value};").unwrap();
@@ -101,7 +133,7 @@ fn digest(padded: &[f64], counters: &Counters, launch: &LaunchStats) -> (u64, u6
         launch.kernel_launches, launch.total_blocks
     )
     .unwrap();
-    (crc64(&bits), crc64(ledger.as_bytes()))
+    ledger
 }
 
 fn boundaries() -> [(&'static str, Boundary); 2] {
@@ -265,6 +297,106 @@ fn resumed_job_digest() -> (String, u64, u64) {
         &done.report.launch_stats,
     );
     ("job-1d/resumed".to_string(), a, b)
+}
+
+type InstrumentedRow = (String, u64, u64, u64, u64);
+
+fn instrumented_digest(case: String, padded: &[f64], r: &RunReport) -> InstrumentedRow {
+    let (bits, _) = digest(padded, &r.counters, &r.launch_stats);
+    let mut ledger = ledger_text(&r.counters, &r.launch_stats);
+    write!(
+        ledger,
+        ";faults_injected={};faults_detected={};retries={}",
+        r.faults_injected, r.faults_detected, r.retries
+    )
+    .unwrap();
+    let mut trace = r.trace.clone().expect("tracing is on");
+    for span in &mut trace.spans {
+        span.wall_ns = 0;
+    }
+    let sanitizer = r
+        .sanitizer
+        .as_ref()
+        .map_or(0, |s| crc64(format!("{s:?}").as_bytes()));
+    let (ledger, trace) = (crc64(ledger.as_bytes()), crc64(trace.to_jsonl().as_bytes()));
+    (case, bits, ledger, trace, sanitizer)
+}
+
+/// One run with tracing, the sanitizer and shared-memory corruption on.
+fn instrumented<K: Stencil>(
+    case: String,
+    kernel: K,
+    grid: &K::Grid,
+    variant: VariantConfig,
+    steps: usize,
+) -> InstrumentedRow {
+    let (got, r) = ConvStencil::try_new(kernel)
+        .unwrap()
+        .with_variant(variant)
+        .with_tracing(true)
+        .with_sanitizer(true)
+        .with_fault_plan(FaultPlan::quiet(0x9001).with_smem_corrupt_rate(0.05))
+        .try_run(grid, steps)
+        .unwrap();
+    instrumented_digest(case, got.padded(), &r)
+}
+
+/// Every Fig. 6 variant in 1D, 2D and 3D, then a traced verified Heat-2D
+/// run whose injected faults force retries.
+fn instrumented_digests() -> Vec<InstrumentedRow> {
+    let mut out = Vec::new();
+    for (label, variant) in VariantConfig::breakdown() {
+        let tag = tag(label);
+        let kernel = Shape::Heat1D.kernel1d().unwrap();
+        let mut grid = Grid1D::new(3000, kernel.radius());
+        grid.fill_random(17);
+        out.push(instrumented(format!("1d/{tag}"), kernel, &grid, variant, 3));
+
+        let kernel = Shape::Box2D9P.kernel2d().unwrap();
+        let mut grid = Grid2D::new(40, 72, kernel.radius());
+        grid.fill_random(23);
+        out.push(instrumented(format!("2d/{tag}"), kernel, &grid, variant, 4));
+
+        let kernel = Shape::Box3D27P.kernel3d().unwrap();
+        let mut grid = Grid3D::new(6, 10, 40, kernel.radius());
+        grid.fill_random(31);
+        out.push(instrumented(format!("3d/{tag}"), kernel, &grid, variant, 3));
+    }
+    let kernel = Shape::Heat2D.kernel2d().unwrap();
+    let mut grid = Grid2D::new(32, 64, kernel.radius());
+    grid.fill_random(41);
+    let (got, r) = ConvStencil2D::try_new(kernel)
+        .unwrap()
+        .with_tracing(true)
+        .with_fault_plan(FaultPlan::quiet(0x9002).with_smem_corrupt_rate(0.02))
+        .try_run_verified(&grid, 3)
+        .unwrap();
+    assert!(r.retries > 0, "the verified case must exercise a retry");
+    out.push(instrumented_digest(
+        "2d-heat-2d/verified".to_string(),
+        got.padded(),
+        &r,
+    ));
+    out
+}
+
+#[test]
+fn instrumented_runs_match_the_golden_table() {
+    let got = instrumented_digests();
+    let table: String = got
+        .iter()
+        .map(|(name, a, b, c, d)| {
+            format!("    ({name:?}, {a:#018x}, {b:#018x}, {c:#018x}, {d:#018x}),\n")
+        })
+        .collect();
+    let want: Vec<InstrumentedRow> = INSTRUMENTED
+        .iter()
+        .map(|&(name, a, b, c, d)| (name.to_string(), a, b, c, d))
+        .collect();
+    assert!(
+        got == want,
+        "instrumented runs differ from the golden table; current table:\n{table}"
+    );
 }
 
 #[test]

@@ -143,7 +143,7 @@ proptest! {
         let nk = kernel.nk();
         let m = 32 * mb;
         let n = 8 * (nk + 1) * nb;
-        let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
+        let exec = Exec2D::try_new(&kernel, m, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let grid = Grid2D::new(m, n, radius);
         let ext0 = exec.plan.try_build_ext(&grid).unwrap();
@@ -200,7 +200,7 @@ proptest! {
         let (m, n) = (40, 72);
         let mut grid = Grid2D::new(m, n, 1);
         grid.fill_random(seed);
-        let exec = Exec2D::new(&kernel, m, n, VariantConfig::conv_stencil());
+        let exec = Exec2D::try_new(&kernel, m, n, VariantConfig::conv_stencil()).unwrap();
         let mut dev = Device::a100();
         let ext0 = exec.plan.try_build_ext(&grid).unwrap();
         let ext = try_run_2d_applications_bc(&mut dev, &exec, &ext0, 1, Boundary::Dirichlet).unwrap();
@@ -244,7 +244,7 @@ proptest! {
             .collect();
         let kernel = Kernel2D::new(radius, w);
         let variant = VariantConfig::breakdown()[vidx].1;
-        let exec = Exec2D::new(&kernel, m, n, variant);
+        let exec = Exec2D::try_new(&kernel, m, n, variant).unwrap();
         prop_assert!(exec.verify().is_ok());
     }
 
@@ -260,7 +260,7 @@ proptest! {
     ) {
         let variant = VariantConfig::breakdown()[vidx].1;
         let kernel = Kernel2D::box_uniform(1);
-        let mut exec = Exec2D::new(&kernel, 40, 72, variant);
+        let mut exec = Exec2D::try_new(&kernel, 40, 72, variant).unwrap();
         let p = &exec.plan;
         let tile_rows = p.block_rows + p.nk - 1;
         let span_aligned = p.span_aligned;

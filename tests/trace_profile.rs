@@ -246,7 +246,7 @@ fn untraced_device_records_no_spans() {
     let kernel = Shape::Box2D9P.kernel2d().unwrap();
     let mut g = Grid2D::new(64, 64, kernel.radius());
     g.fill_random(23);
-    let exec = Exec2D::new(&kernel, 64, 64, VariantConfig::conv_stencil());
+    let exec = Exec2D::try_new(&kernel, 64, 64, VariantConfig::conv_stencil()).unwrap();
     let mut dev = Device::a100();
     let ext0 = exec.plan.try_build_ext(&g).unwrap();
     try_run_2d_applications_bc(&mut dev, &exec, &ext0, 2, Boundary::Dirichlet).unwrap();
