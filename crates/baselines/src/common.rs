@@ -5,7 +5,7 @@
 use convstencil::RunReport;
 use serde::{Deserialize, Serialize};
 use stencil_core::{Grid1D, Grid2D, Grid3D, Shape};
-use tcu_sim::{BlockCtx, BufferId, CostModel, Device, INACTIVE};
+use tcu_sim::{BlockCtx, BufferId, CostModel, Device};
 
 /// Problem size for any dimensionality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,31 +104,6 @@ pub fn report_from_device(dev: &Device, points: u64, steps: u64) -> RunReport {
     }
 }
 
-/// Read a contiguous row segment of a padded 2D device array with
-/// coalesced warp reads; returns the values.
-pub fn read_row_segment(
-    ctx: &mut BlockCtx,
-    buf: BufferId,
-    row: usize,
-    pcols: usize,
-    col0: usize,
-    len: usize,
-) -> Vec<f64> {
-    ctx.gmem_read_span(buf, row * pcols + col0, len)
-}
-
-/// Write `vals` to a row segment of a padded 2D device array.
-pub fn write_row_segment(
-    ctx: &mut BlockCtx,
-    buf: BufferId,
-    row: usize,
-    pcols: usize,
-    col0: usize,
-    vals: &[f64],
-) {
-    ctx.gmem_write_span(buf, row * pcols + col0, vals);
-}
-
 /// Stage a rectangular tile of a padded 2D device array into shared
 /// memory at `smem_off` with row stride `smem_stride` (coalesced global
 /// reads, contiguous shared stores). Returns nothing; counts everything.
@@ -155,34 +130,6 @@ pub fn stage_tile_to_shared(
             ctx.smem_store(&addrs, &vals[i..i + lanes]);
             i += lanes;
         }
-    }
-}
-
-/// Warp-granular masked write helper.
-pub fn write_masked(
-    ctx: &mut BlockCtx,
-    buf: BufferId,
-    base_addr: impl Fn(usize) -> Option<usize>,
-    vals: &[f64],
-) {
-    let mut addrs = [INACTIVE; 32];
-    let mut i = 0usize;
-    while i < vals.len() {
-        let lanes = 32.min(vals.len() - i);
-        let mut any = false;
-        for l in 0..lanes {
-            addrs[l] = match base_addr(i + l) {
-                Some(a) => {
-                    any = true;
-                    a
-                }
-                None => INACTIVE,
-            };
-        }
-        if any {
-            ctx.gmem_write_warp(buf, &addrs[..lanes], &vals[i..i + lanes]);
-        }
-        i += lanes;
     }
 }
 

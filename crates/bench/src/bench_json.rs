@@ -88,7 +88,7 @@ pub fn write_bench_json(name: &str, records: &[BenchRecord]) -> std::io::Result<
     let dir = Path::new(RESULTS_DIR);
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("BENCH_{name}.json"));
-    atomic_write(&path, &render_bench_json(name, records))?;
+    atomic_write(&path, render_bench_json(name, records).as_bytes())?;
     Ok(path)
 }
 
@@ -158,7 +158,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_unit.json");
-        atomic_write(&path, &render_bench_json("unit", &[record()])).unwrap();
+        atomic_write(&path, render_bench_json("unit", &[record()]).as_bytes()).unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, render_bench_json("unit", &[record()]));
     }

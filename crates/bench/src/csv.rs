@@ -38,7 +38,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// ends in `.tmp`, so scanners that match the target's extension (the
 /// checkpoint loader matches `.ckpt`) never pick it up. On any error the
 /// temp file is removed.
-pub fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
+pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
     let mut tmp_name = path.as_os_str().to_os_string();
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     tmp_name.push(format!(".{}.{seq}.tmp", std::process::id()));
@@ -58,11 +58,11 @@ pub fn atomic_write(path: &Path, contents: &str) -> std::io::Result<()> {
 
 fn write_and_rename(
     mut file: std::fs::File,
-    contents: &str,
+    contents: &[u8],
     tmp: &Path,
     path: &Path,
 ) -> std::io::Result<()> {
-    file.write_all(contents.as_bytes())?;
+    file.write_all(contents)?;
     file.sync_all()?;
     drop(file);
     std::fs::rename(tmp, path)
@@ -94,7 +94,7 @@ pub fn write_csv(name: &str, rows: &[Vec<String>]) -> std::io::Result<PathBuf> {
         out.push_str(&line.join(","));
         out.push('\n');
     }
-    atomic_write(&path, &out)?;
+    atomic_write(&path, out.as_bytes())?;
     Ok(path)
 }
 
@@ -155,8 +155,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("artifact.txt");
-        atomic_write(&path, "first\n").unwrap();
-        atomic_write(&path, "second\n").unwrap();
+        atomic_write(&path, b"first\n").unwrap();
+        atomic_write(&path, b"second\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second\n");
         assert_eq!(dir_entries(&dir), ["artifact.txt"], "temp file left behind");
     }
@@ -191,7 +191,7 @@ mod tests {
                 scope.spawn(move || {
                     for _ in 0..5 {
                         barrier.wait();
-                        atomic_write(path, content).unwrap();
+                        atomic_write(path, content.as_bytes()).unwrap();
                     }
                 });
             }
@@ -213,7 +213,7 @@ mod tests {
         // a file; a stale temp file is left for its owner to clean up.
         std::fs::create_dir(dir.join("artifact.csv.tmp")).unwrap();
         std::fs::write(dir.join("artifact.csv.1.0.tmp"), "torn").unwrap();
-        atomic_write(&path, "fresh\n").unwrap();
+        atomic_write(&path, b"fresh\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "fresh\n");
         assert_eq!(
             dir_entries(&dir),
@@ -229,7 +229,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(dir.join("target/occupied")).unwrap();
         // Renaming a file over a non-empty directory fails.
-        let err = atomic_write(&dir.join("target"), "data").unwrap_err();
+        let err = atomic_write(&dir.join("target"), b"data").unwrap_err();
         assert_ne!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
         assert_eq!(dir_entries(&dir), ["target"], "temp file left behind");
         let _ = std::fs::remove_dir_all(&dir);

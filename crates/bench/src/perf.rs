@@ -218,7 +218,7 @@ pub fn perf_baseline_path() -> PathBuf {
 pub fn write_perf_json(records: &[PerfRecord]) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(RESULTS_DIR)?;
     let path = perf_baseline_path();
-    atomic_write(&path, &render_perf_json(records))?;
+    atomic_write(&path, render_perf_json(records).as_bytes())?;
     Ok(path)
 }
 

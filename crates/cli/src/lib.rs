@@ -337,7 +337,7 @@ fn one_shot<K: Stencil>(args: &CliArgs, caps: &[usize]) -> Result<(f64, bool), C
         last = gstencils;
     }
     if let Some(path) = &args.trace {
-        convstencil_bench::atomic_write(path, &merged_trace.to_jsonl()).map_err(|e| {
+        convstencil_bench::atomic_write(path, merged_trace.to_jsonl().as_bytes()).map_err(|e| {
             ConvStencilError::ArtifactWrite {
                 path: path.display().to_string(),
                 reason: e.to_string(),

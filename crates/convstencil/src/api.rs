@@ -949,6 +949,34 @@ mod tests {
         assert!(report.counters.dmma_ops > 0);
     }
 
+    /// 200 runs on one device: global memory after every run equals its
+    /// size after the first, so nothing a run allocates outlives it.
+    fn assert_runs_release_device_memory(variant: VariantConfig) {
+        let kernel = Shape::Heat1D.kernel1d().unwrap();
+        let cs = ConvStencil1D::try_new(kernel)
+            .unwrap()
+            .with_variant(variant);
+        let mut grid = Grid1D::new(4096, cs.fused_kernel().radius());
+        grid.fill_random(6);
+        let mut dev = cs.pool_device(None);
+        let mut after_first = None;
+        for run in 0..200 {
+            cs.try_run_on_device(&mut dev, &grid, 3).unwrap();
+            let held = *after_first.get_or_insert(dev.global_len());
+            assert_eq!(dev.global_len(), held, "{} run {run}", variant.label());
+        }
+    }
+
+    #[test]
+    fn repeated_runs_release_device_memory_variant_v() {
+        assert_runs_release_device_memory(VariantConfig::conv_stencil());
+    }
+
+    #[test]
+    fn repeated_runs_release_device_memory_explicit_variant_i() {
+        assert_runs_release_device_memory(VariantConfig::explicit_cuda());
+    }
+
     #[test]
     fn threed_api_runs_heat3d() {
         let kernel = Shape::Heat3D.kernel3d().unwrap();

@@ -605,12 +605,6 @@ impl Exec3D {
             }
         }
     }
-
-    /// The colmap entry for the scalar path stores the Eq. 5/6 offset for
-    /// input row 0; exposed for tests.
-    pub fn colmap_entry(&self, c: usize) -> (bool, usize, usize) {
-        self.colmap[c]
-    }
 }
 
 /// Simulated periodic halo exchange on an extended 3D array: column wrap,

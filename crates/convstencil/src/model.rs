@@ -15,16 +15,6 @@ pub fn stencil2row_cols(m: usize, nk: usize) -> usize {
     nk * m
 }
 
-/// Rows of the im2row matrix (Eq. 9): one per output point.
-pub fn im2row_rows(m: usize, n: usize) -> usize {
-    m * n
-}
-
-/// Columns of the im2row matrix (Eq. 10).
-pub fn im2row_cols(nk: usize) -> usize {
-    nk * nk
-}
-
 /// Memory-expansion factor of the im2row layout relative to the input.
 ///
 /// For a sparse (star) kernel only the columns of non-zero weights are

@@ -72,6 +72,8 @@ pub trait Stencil: Clone + Debug {
     ) -> Result<(), ConvStencilError>;
     /// The explicit variant's scratch; `None` for the implicit variants.
     fn alloc_explicit(exec: &Self::Exec, dev: &mut Device) -> Option<Self::Scratch>;
+    /// The device buffers `scratch` holds, for releasing them.
+    fn scratch_buffers(scratch: Self::Scratch) -> [BufferId; 2];
 
     /// `apps` frozen-halo applications (the grid's halo must cover the
     /// radius).
@@ -134,6 +136,9 @@ impl Stencil for Kernel1D {
             .explicit_global
             .then(|| exec.alloc_explicit(dev))
     }
+    fn scratch_buffers((a, b): Self::Scratch) -> [BufferId; 2] {
+        [a, b]
+    }
     fn frozen_halo_reference(&self, grid: &Grid1D, apps: usize) -> Grid1D {
         run1d(grid, self, apps)
     }
@@ -195,6 +200,9 @@ impl Stencil for Kernel2D {
         exec.variant
             .explicit_global
             .then(|| exec.alloc_explicit(dev))
+    }
+    fn scratch_buffers(s: ExplicitBuffers) -> [BufferId; 2] {
+        [s.s2r_a, s.s2r_b]
     }
     fn frozen_halo_reference(&self, grid: &Grid2D, apps: usize) -> Grid2D {
         run2d(grid, self, apps)
@@ -264,6 +272,9 @@ impl Stencil for Kernel3D {
             .explicit_global
             .then(|| exec.alloc_explicit(dev))
     }
+    fn scratch_buffers(s: ExplicitBuffers3D) -> [BufferId; 2] {
+        [s.s2r_a, s.s2r_b]
+    }
     fn frozen_halo_reference(&self, grid: &Grid3D, apps: usize) -> Grid3D {
         run3d(grid, self, apps)
     }
@@ -275,7 +286,9 @@ impl Stencil for Kernel3D {
 /// Run `apps` applications over a fresh ping-pong buffer pair seeded
 /// with the extended array `ext0`, and return the final extended array.
 /// Under periodic boundaries the halo is wrapped on-device before every
-/// application, which also makes temporal fusion exact.
+/// application, which also makes temporal fusion exact. Every buffer the
+/// run allocates is released before it returns, on success and on error,
+/// so a long-lived device does not grow with the number of runs.
 pub(crate) fn run_applications<K: Stencil>(
     dev: &mut Device,
     exec: &K::Exec,
@@ -288,14 +301,20 @@ pub(crate) fn run_applications<K: Stencil>(
     let b = dev.alloc_vec(copy);
     let scratch = K::alloc_explicit(exec, dev);
     let (mut cur, mut next) = (a, b);
-    for _ in 0..apps {
+    let applied = (0..apps).try_for_each(|_| {
         if boundary == Boundary::Periodic {
             K::halo_exchange(dev, cur, exec)?;
         }
         K::try_run_application(exec, dev, cur, next, scratch)?;
         std::mem::swap(&mut cur, &mut next);
-    }
+        Ok(())
+    });
     // The device never touches the ping-pong buffers again: move the
     // final extended array out instead of copying the whole grid.
-    Ok(dev.take_buffer(cur))
+    let out = dev.take_buffer(cur);
+    dev.free(next);
+    for id in scratch.into_iter().flat_map(K::scratch_buffers) {
+        dev.free(id);
+    }
+    applied.map(|()| out)
 }

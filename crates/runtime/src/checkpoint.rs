@@ -27,10 +27,12 @@
 //! ## Codec
 //!
 //! Nearly all of a file is the `grid_data` list: 17 bytes (16 lowercase
-//! hex digits and a `,`) per grid point. [`Checkpoint::encode`] builds the
-//! payload once in a byte buffer, writing each list through a nibble →
-//! ASCII table into a region pre-sized to `17·n`, and then prepends the
-//! header with a single copy. [`Checkpoint::decode`] reads a list that is
+//! hex digits and a `,`) per grid point. [`Checkpoint::encode_into`]
+//! builds the file once in a caller's byte buffer, writing each list
+//! through a nibble → ASCII table into a region pre-sized to `17·n`, and
+//! then writes the header into a reserved prefix; the runtime reuses one
+//! buffer for every save of a job, and [`Checkpoint::encode`] wraps a
+//! fresh one in a `String`. [`Checkpoint::decode`] reads a list that is
 //! a whole number of 17-byte strides through a 256-entry `UNHEX` table,
 //! checking every digit and separator; any other list goes through the
 //! generic `split(',')` + `u64::from_str_radix` parser, so the accepted
@@ -411,22 +413,34 @@ impl Checkpoint {
 
     /// Serialize to the wire format (header + payload).
     pub fn encode(&self) -> String {
+        let mut p = Vec::new();
+        self.encode_into(&mut p);
+        // Every byte is ASCII except the job and boundary names, which
+        // come from `String`s.
+        String::from_utf8(p).expect("checkpoint text is UTF-8")
+    }
+
+    /// Serialize into `out`, replacing its contents but keeping its
+    /// capacity: the same bytes as [`Checkpoint::encode`], without a new
+    /// file-sized allocation when `out` is reused across saves.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         let lists = self.grid_data.len() + self.weights.len();
         // One buffer for the whole file: the payload goes after a prefix
         // wide enough for any header, the header is written right-aligned
         // into that prefix once the payload's CRC is known, and the
         // unused front of the prefix is dropped.
-        let mut p: Vec<u8> = Vec::with_capacity(HEADER_MAX + 17 * lists + 4096);
-        p.resize(HEADER_MAX, 0);
-        let _ = writeln!(p, "job={}", self.job);
-        let _ = writeln!(p, "dim={}", self.dim);
-        let _ = writeln!(p, "radius={}", self.radius);
-        p.extend_from_slice(b"weights=");
-        push_hex_f64_line(&mut p, &self.weights);
-        let _ = writeln!(p, "fusion={}", self.fusion);
-        let _ = writeln!(p, "boundary={}", self.boundary);
+        out.clear();
+        out.reserve(HEADER_MAX + 17 * lists + 4096);
+        out.resize(HEADER_MAX, 0);
+        let _ = writeln!(out, "job={}", self.job);
+        let _ = writeln!(out, "dim={}", self.dim);
+        let _ = writeln!(out, "radius={}", self.radius);
+        out.extend_from_slice(b"weights=");
+        push_hex_f64_line(out, &self.weights);
+        let _ = writeln!(out, "fusion={}", self.fusion);
+        let _ = writeln!(out, "boundary={}", self.boundary);
         let _ = writeln!(
-            p,
+            out,
             "variant={}",
             self.variant
                 .iter()
@@ -435,7 +449,7 @@ impl Checkpoint {
                 .join(",")
         );
         let _ = writeln!(
-            p,
+            out,
             "flags={}",
             self.flags
                 .iter()
@@ -443,11 +457,11 @@ impl Checkpoint {
                 .collect::<Vec<_>>()
                 .join(",")
         );
-        let _ = writeln!(p, "steps_total={}", self.steps_total);
-        let _ = writeln!(p, "steps_done={}", self.steps_done);
-        let _ = writeln!(p, "checkpoint_every={}", self.checkpoint_every);
+        let _ = writeln!(out, "steps_total={}", self.steps_total);
+        let _ = writeln!(out, "steps_done={}", self.steps_done);
+        let _ = writeln!(out, "checkpoint_every={}", self.checkpoint_every);
         let _ = writeln!(
-            p,
+            out,
             "grid_dims={}",
             self.grid_dims
                 .iter()
@@ -455,11 +469,11 @@ impl Checkpoint {
                 .collect::<Vec<_>>()
                 .join(",")
         );
-        let _ = writeln!(p, "grid_halo={}", self.grid_halo);
-        p.extend_from_slice(b"grid_data=");
-        push_hex_f64_line(&mut p, &self.grid_data);
+        let _ = writeln!(out, "grid_halo={}", self.grid_halo);
+        out.extend_from_slice(b"grid_data=");
+        push_hex_f64_line(out, &self.grid_data);
         let _ = writeln!(
-            p,
+            out,
             "counters={}",
             self.counters
                 .field_pairs()
@@ -469,12 +483,12 @@ impl Checkpoint {
                 .join(",")
         );
         let _ = writeln!(
-            p,
+            out,
             "launches=kernel_launches:{},total_blocks:{}",
             self.launch_stats.kernel_launches, self.launch_stats.total_blocks
         );
         let _ = writeln!(
-            p,
+            out,
             "job_stats=migrations:{},degraded:{},checkpoints_written:{},faults_detected:{},retries:{}",
             self.migrations,
             u8::from(self.degraded),
@@ -482,21 +496,21 @@ impl Checkpoint {
             self.faults_detected,
             self.retries
         );
-        let _ = writeln!(p, "pool_completed={}", self.pool_completed);
+        let _ = writeln!(out, "pool_completed={}", self.pool_completed);
         let _ = writeln!(
-            p,
+            out,
             "active_device={}",
             self.active_device
                 .map_or("-".to_string(), |id| id.to_string())
         );
         if let Some(s) = &self.sanitizer {
             let _ = writeln!(
-                p,
+                out,
                 "sanitizer=init:{},mem:{},race:{},bank:{}",
                 s.init_total, s.mem_total, s.race_total, s.bank_total
             );
             let _ = writeln!(
-                p,
+                out,
                 "sanitizer_load={}",
                 s.load_conflicts
                     .iter()
@@ -505,7 +519,7 @@ impl Checkpoint {
                     .join(",")
             );
             let _ = writeln!(
-                p,
+                out,
                 "sanitizer_store={}",
                 s.store_conflicts
                     .iter()
@@ -515,10 +529,10 @@ impl Checkpoint {
             );
         }
         for d in &self.devices {
-            let _ = write!(p, "device={};plan=", d.id);
-            encode_plan(&mut p, &d.plan);
+            let _ = write!(out, "device={};plan=", d.id);
+            encode_plan(out, &d.plan);
             let _ = writeln!(
-                p,
+                out,
                 ";epoch={};attempts={};dead={};breaker={}",
                 d.fault_epoch,
                 d.launch_attempts,
@@ -526,18 +540,15 @@ impl Checkpoint {
                 encode_breaker(&d.breaker)
             );
         }
-        let payload = &p[HEADER_MAX..];
+        let payload = &out[HEADER_MAX..];
         let header = format!(
             "{MAGIC} crc64={:016x} payload_bytes={}\n",
             crc64(payload),
             payload.len()
         );
         let front = HEADER_MAX - header.len();
-        p[front..HEADER_MAX].copy_from_slice(header.as_bytes());
-        p.drain(..front);
-        // Every byte is ASCII except the job and boundary names, which
-        // come from `String`s.
-        String::from_utf8(p).expect("checkpoint text is UTF-8")
+        out[front..HEADER_MAX].copy_from_slice(header.as_bytes());
+        out.drain(..front);
     }
 
     /// Parse the wire format, verifying the checksum first. `path` is
@@ -825,12 +836,24 @@ impl Checkpoint {
     /// Write atomically into `dir` (created if missing) under the
     /// canonical [`Checkpoint::file_name`]. Returns the final path.
     pub fn save(&self, dir: &Path) -> Result<PathBuf, ConvStencilError> {
+        self.save_with(dir, &mut Vec::new())
+    }
+
+    /// [`Checkpoint::save`], encoding into `buf` (see
+    /// [`Checkpoint::encode_into`]) so a job can reuse one buffer for all
+    /// of its saves.
+    pub(crate) fn save_with(
+        &self,
+        dir: &Path,
+        buf: &mut Vec<u8>,
+    ) -> Result<PathBuf, ConvStencilError> {
         std::fs::create_dir_all(dir).map_err(|e| ConvStencilError::ArtifactWrite {
             path: dir.display().to_string(),
             reason: e.to_string(),
         })?;
         let path = dir.join(Self::file_name(&self.job, self.steps_done));
-        atomic_write(&path, &self.encode()).map_err(|e| ConvStencilError::ArtifactWrite {
+        self.encode_into(buf);
+        atomic_write(&path, buf).map_err(|e| ConvStencilError::ArtifactWrite {
             path: path.display().to_string(),
             reason: e.to_string(),
         })?;
@@ -987,6 +1010,22 @@ mod tests {
         assert_eq!(back.grid_data[0].to_bits(), odd.grid_data[0].to_bits());
         assert_eq!(back.grid_data[1].to_bits(), odd.grid_data[1].to_bits());
         assert_eq!(back.grid_data[2].to_bits(), odd.grid_data[2].to_bits());
+    }
+
+    #[test]
+    fn encode_into_a_reused_buffer_gives_the_encode_bytes() {
+        let ck = sample();
+        let mut long = ck.clone();
+        long.grid_data.extend_from_slice(&ck.grid_data);
+        let mut short = ck.clone();
+        short.grid_data.truncate(5);
+        for held in [long, short] {
+            let mut buf = Vec::new();
+            held.encode_into(&mut buf);
+            ck.encode_into(&mut buf);
+            let points = held.grid_data.len();
+            assert_eq!(buf, ck.encode().as_bytes(), "after {points} points");
+        }
     }
 
     #[test]

@@ -546,6 +546,9 @@ impl Runtime {
             });
         }
 
+        // One encode buffer for every save of this execution: each file
+        // is encoded into the previous file's storage.
+        let mut encoded = Vec::new();
         while steps_done < steps_total {
             // Deadlines: between chunks only, so the last checkpoint (and
             // the committed grid) is always a consistent cut.
@@ -680,7 +683,7 @@ impl Runtime {
                     &pool,
                     active,
                 );
-                let saved = ck.save(dir);
+                let saved = ck.save_with(dir, &mut encoded);
                 payload.restore_grid(std::mem::take(&mut ck.grid_data));
                 saved?;
                 report.checkpoints_written += 1;

@@ -65,11 +65,6 @@ impl Grid1D {
         self.data[i + self.halo] = v;
     }
 
-    /// Read at a padded coordinate (may address the halo).
-    pub fn get_padded(&self, i: usize) -> f64 {
-        self.data[i]
-    }
-
     /// Read relative to interior cell `i` with signed offset `di`
     /// (`|di| <= halo` reaches into the halo).
     pub fn get_rel(&self, i: usize, di: isize) -> f64 {

@@ -270,10 +270,18 @@ impl Device {
         self.global.take(id)
     }
 
-    /// Reset the ledgers (buffers are kept).
-    pub fn reset_counters(&mut self) {
-        self.counters = Counters::default();
-        self.launch_stats = LaunchStats::default();
+    /// Release a buffer the caller is done with: its storage is dropped
+    /// and the handle stays valid but empty, like after
+    /// [`Device::take_buffer`]. Handles are never reused, so a stale one
+    /// cannot alias a later allocation. Charges no event.
+    pub fn free(&mut self, id: BufferId) {
+        drop(self.global.take(id));
+    }
+
+    /// Number of f64 values global memory currently holds, over every
+    /// buffer.
+    pub fn global_len(&self) -> usize {
+        self.global.total_len()
     }
 
     // ---- Scratch pooling ----------------------------------------------
@@ -350,11 +358,6 @@ impl Device {
 
     pub fn sanitizing(&self) -> bool {
         self.sanitize
-    }
-
-    /// Read-only view of the accumulated sanitizer findings.
-    pub fn sanitizer_report(&self) -> &SanitizerReport {
-        &self.sanitizer
     }
 
     /// Drain the accumulated sanitizer findings, leaving an empty report.
@@ -1578,6 +1581,23 @@ mod tests {
         let buf = dev.alloc_from(&[4.0, 5.0]);
         assert_eq!(dev.take_buffer(buf), vec![4.0, 5.0]);
         assert_eq!(dev.buffer_len(buf), 0);
+    }
+
+    #[test]
+    fn free_drops_storage_without_renumbering_or_charging() {
+        let mut dev = Device::a100();
+        let a = dev.alloc(8);
+        let b = dev.alloc_from(&[1.0, 2.0, 3.0]);
+        assert_eq!(dev.global_len(), 11);
+        let before = dev.counters;
+        dev.free(a);
+        assert_eq!(dev.global_len(), 3);
+        assert_eq!(dev.buffer_len(a), 0);
+        assert_eq!(dev.download(b), &[1.0, 2.0, 3.0]);
+        assert_eq!(dev.counters, before);
+        let c = dev.alloc(2);
+        assert_ne!(c, a, "a freed handle is not reused");
+        assert_eq!(dev.global_len(), 5);
     }
 
     #[test]

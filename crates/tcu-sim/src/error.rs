@@ -21,19 +21,6 @@ pub enum DeviceError {
     DeviceLost { launch_attempt: u64 },
 }
 
-impl DeviceError {
-    /// True for fault-injected failures a resilient caller may recover from
-    /// by retrying or migrating (as opposed to configuration errors such as
-    /// [`DeviceError::SharedMemoryExceeded`], which will recur on any
-    /// identically configured device).
-    pub fn is_transient_class(&self) -> bool {
-        matches!(
-            self,
-            DeviceError::InjectedLaunchFailure { .. } | DeviceError::DeviceLost { .. }
-        )
-    }
-}
-
 impl fmt::Display for DeviceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -57,13 +57,13 @@ impl GlobalMemory {
         buf[..data.len()].copy_from_slice(data);
     }
 
-    /// Host-side mutable view (for test setup).
-    pub fn buffer_mut(&mut self, id: BufferId) -> &mut [f64] {
-        &mut self.buffers[id.0]
-    }
-
     pub fn buffer_len(&self, id: BufferId) -> usize {
         self.buffers[id.0].len()
+    }
+
+    /// Number of f64 values held over every buffer.
+    pub(crate) fn total_len(&self) -> usize {
+        self.buffers.iter().map(Vec::len).sum()
     }
 
     /// Charge one warp request's sector footprint to `counters`.

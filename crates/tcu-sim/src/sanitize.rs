@@ -127,11 +127,6 @@ impl SanitizerReport {
         self.total_violations() == 0
     }
 
-    /// Total extra store replays binned in the diagnostic histogram.
-    pub fn store_conflict_total(&self) -> u64 {
-        self.store_conflicts.iter().sum()
-    }
-
     /// Fold another report into this one (violation records stay capped).
     pub fn merge(&mut self, other: SanitizerReport) {
         let room = MAX_RECORDED_VIOLATIONS.saturating_sub(self.violations.len());

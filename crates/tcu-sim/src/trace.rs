@@ -158,11 +158,6 @@ impl Trace {
         self.spans.iter().map(|s| s.wall_ns).sum()
     }
 
-    /// Sum of every span's modelled core time.
-    pub fn total_modeled_sec(&self) -> f64 {
-        self.spans.iter().map(|s| s.modeled_sec).sum()
-    }
-
     /// Serialize as JSON Lines: one span object per line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
