@@ -9,8 +9,9 @@
 use crate::epilogue::write_row;
 use crate::error::ConvStencilError;
 use crate::plan::{copy_aligned, LUT_SKIP};
+use crate::planes::{column_map, declare_exempt, unpack_band};
 use crate::scatter::{AccessLedger, LutScatter};
-use crate::stencil::run_applications;
+use crate::stencil::{explicit_scratch, run_applications, ExplicitBuffers};
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::{StagedWeights, WeightMatrices, FRAG_K};
@@ -216,17 +217,7 @@ impl Exec1D {
             .filter(|(_, &w)| w != 0.0)
             .map(|(i, &w)| (i, w))
             .collect();
-        let mut colmap = Vec::with_capacity(plan.span);
-        for c in 0..plan.span {
-            let g = c / (nk + 1);
-            let off = c % (nk + 1);
-            if off != nk && g < plan.block_groups {
-                colmap.push((true, g, off));
-            } else {
-                let cb = c - nk;
-                colmap.push((false, cb / (nk + 1), cb % (nk + 1)));
-            }
-        }
+        let colmap = column_map(plan.span, nk, plan.block_groups);
         let ledger = AccessLedger::new(format!(
             "1D plan n={} n_k={} (1 tile row x {} lanes)",
             plan.n, plan.nk, plan.span_aligned
@@ -267,20 +258,6 @@ impl Exec1D {
         verify_plan::verify_weights(&self.weights)
     }
 
-    /// Declare the padding columns and layout tail exempt from initcheck
-    /// (fragment k-chunk overreads and dirty-bits duplicate stores
-    /// legitimately touch them). No-op when the sanitizer is off.
-    fn declare_exempt(&self, ctx: &mut BlockCtx) {
-        let p = &self.plan;
-        for off in [p.a_off, p.b_off] {
-            for g in 0..p.block_groups {
-                ctx.sanitize_exempt(off + g * p.stride + p.raw_cols, p.pad);
-            }
-            let staged = p.block_groups * p.stride;
-            ctx.sanitize_exempt(off + staged, p.b_off - p.a_off - staged);
-        }
-    }
-
     /// One application: read `ext_in`, write interior of `ext_out`.
     ///
     /// The explicit variant (I) materializes the stencil2row matrices in
@@ -290,30 +267,30 @@ impl Exec1D {
         dev: &mut Device,
         ext_in: BufferId,
         ext_out: BufferId,
-        explicit: Option<(BufferId, BufferId)>,
+        explicit: Option<ExplicitBuffers>,
     ) -> Result<(), ConvStencilError> {
-        if self.variant.explicit_global {
-            let bufs = explicit.ok_or(ConvStencilError::ScratchMismatch { expected: true })?;
+        let explicit = explicit_scratch(self.variant, explicit)?;
+        if let Some(bufs) = explicit {
             self.run_transform(dev, ext_in, bufs)?;
-            self.run_compute(dev, ext_in, ext_out, Some(bufs))
-        } else {
-            self.run_compute(dev, ext_in, ext_out, None)
         }
+        self.run_compute(dev, ext_in, ext_out, explicit)
     }
 
-    pub fn alloc_explicit(&self, dev: &mut Device) -> (BufferId, BufferId) {
-        let rows = self.plan.blocks * self.plan.block_groups;
-        (
-            dev.alloc(rows * self.plan.nk),
-            dev.alloc(rows * self.plan.nk),
-        )
+    /// The explicit variant's global stencil2row matrices; `None` for the
+    /// implicit variants.
+    pub fn alloc_explicit(&self, dev: &mut Device) -> Option<ExplicitBuffers> {
+        let len = self.plan.blocks * self.plan.block_groups * self.plan.nk;
+        self.variant.explicit_global.then(|| ExplicitBuffers {
+            s2r_a: dev.alloc(len),
+            s2r_b: dev.alloc(len),
+        })
     }
 
     fn run_transform(
         &self,
         dev: &mut Device,
         ext_in: BufferId,
-        bufs: (BufferId, BufferId),
+        bufs: ExplicitBuffers,
     ) -> Result<(), ConvStencilError> {
         let p = &self.plan;
         let nk = p.nk;
@@ -356,14 +333,14 @@ impl Exec1D {
                 a_vals[lane] = v;
                 lane += 1;
                 if lane == 32 {
-                    ctx.gmem_write_warp(bufs.0, &a_addrs, &a_vals);
-                    ctx.gmem_write_warp(bufs.1, &b_addrs, &a_vals);
+                    ctx.gmem_write_warp(bufs.s2r_a, &a_addrs, &a_vals);
+                    ctx.gmem_write_warp(bufs.s2r_b, &b_addrs, &a_vals);
                     lane = 0;
                 }
             }
             if lane > 0 {
-                ctx.gmem_write_warp(bufs.0, &a_addrs[..lane], &a_vals[..lane]);
-                ctx.gmem_write_warp(bufs.1, &b_addrs[..lane], &a_vals[..lane]);
+                ctx.gmem_write_warp(bufs.s2r_a, &a_addrs[..lane], &a_vals[..lane]);
+                ctx.gmem_write_warp(bufs.s2r_b, &b_addrs[..lane], &a_vals[..lane]);
             }
         })?;
         Ok(())
@@ -374,11 +351,18 @@ impl Exec1D {
         dev: &mut Device,
         ext_in: BufferId,
         ext_out: BufferId,
-        explicit: Option<(BufferId, BufferId)>,
+        explicit: Option<ExplicitBuffers>,
     ) -> Result<(), ConvStencilError> {
         let p = &self.plan;
         dev.try_launch_into(ext_out, p.blocks, self.shared_len(), |bid, ctx| {
             ctx.phase(Phase::SmemScatter);
+            declare_exempt(
+                ctx,
+                [p.a_off, p.b_off],
+                p.block_groups,
+                p.stride,
+                p.raw_cols,
+            );
             match explicit {
                 Some(bufs) => self.stage_from_global(ctx, bufs, bid),
                 None => self.scatter(ctx, ext_in, bid),
@@ -393,7 +377,6 @@ impl Exec1D {
     }
 
     fn scatter(&self, ctx: &mut BlockCtx, ext_in: BufferId, bid: usize) {
-        self.declare_exempt(ctx);
         let read0 = self.plan.read_col0(bid);
         LutScatter {
             lut: &self.lut,
@@ -404,8 +387,7 @@ impl Exec1D {
         .run(ctx, ext_in, 1, 0, |_| read0);
     }
 
-    fn stage_from_global(&self, ctx: &mut BlockCtx, bufs: (BufferId, BufferId), bid: usize) {
-        self.declare_exempt(ctx);
+    fn stage_from_global(&self, ctx: &mut BlockCtx, bufs: ExplicitBuffers, bid: usize) {
         let p = &self.plan;
         let nk = p.nk;
         let g0 = bid * p.block_groups;
@@ -414,7 +396,7 @@ impl Exec1D {
         let mut vals = vec![0.0f64; p.block_groups * nk];
         let mut addrs = [0usize; 32];
         let mut avals = [0.0f64; 32];
-        for (buf, base_off) in [(bufs.0, p.a_off), (bufs.1, p.b_off)] {
+        for (buf, base_off) in [(bufs.s2r_a, p.a_off), (bufs.s2r_b, p.b_off)] {
             ctx.gmem_read_span_into(buf, g0 * nk, &mut vals);
             ctx.count_int(vals.len() as u64);
             let mut lane = 0usize;
@@ -451,11 +433,7 @@ impl Exec1D {
             let shift = band * 8 * p.stride;
             let chains = [(p.a_off + shift, w.a()), (p.b_off + shift, w.b())];
             ctx.mma_chains(p.stride, &chains, &mut acc);
-            for ga in 0..8 {
-                for j in 0..=nk {
-                    out_vals[ga * (nk + 1) + j] = acc.get(ga, j);
-                }
-            }
+            unpack_band(&acc, nk, out_vals);
             let y0 = (bid * p.block_groups + band * 8) * (nk + 1);
             write_row(ctx, ext_out, p.lc, y0, p.n, out_vals);
         }

@@ -28,6 +28,7 @@ pub mod im2row;
 pub mod model;
 pub mod numerics;
 pub mod plan;
+mod planes;
 pub mod profile;
 mod scatter;
 pub mod stencil;

@@ -59,7 +59,7 @@ pub fn dot_sequential(a: &[f64], b: &[f64]) -> f64 {
 /// the A-part (kernel columns `c >= j`... i.e. `dy <= n_k-1-j`) summed in
 /// k-chunks of 4 with a running accumulator, then the B-part. `window`
 /// and `weights` are the `n_k²` dense window/weight arrays (row-major);
-/// this reproduces the arithmetic `exec2d` performs for that output.
+/// this reproduces the arithmetic the 2D pipeline (`planes`) performs for that output.
 pub fn dot_tessellation_order(window: &[f64], weights: &[f64], nk: usize, j: usize) -> f64 {
     assert_eq!(window.len(), nk * nk);
     assert_eq!(weights.len(), nk * nk);

@@ -122,7 +122,8 @@ pub struct Plan2D {
     pub n: usize,
     /// Output rows per block (32 per Table 4 in 2D, 8 in 3D).
     pub block_rows: usize,
-    /// Column groups per block (8 in 2D — 64 columns at n_k = 7).
+    /// Column groups per block, a multiple of 8 (8 in 2D — 64 columns at
+    /// n_k = 7).
     pub block_groups: usize,
     /// Blocks along rows / along column-group bands.
     pub blocks_x: usize,
@@ -156,7 +157,9 @@ impl Plan2D {
         Self::try_with_block(m, n, nk, 32, 8, variant)
     }
 
-    /// Plan with the paper's 3D per-plane block shape (8 rows x 64 cols).
+    /// Plan with the paper's 3D per-plane block shape: 8 rows x about 64
+    /// columns, in whole 8-group tessellation bands (16 groups at
+    /// `n_k = 3`, 8 at `n_k = 5` and `7`).
     pub fn try_new_3d_plane(
         m: usize,
         n: usize,
@@ -166,7 +169,7 @@ impl Plan2D {
         if !(nk % 2 == 1 && (3..=7).contains(&nk)) {
             return Err(ConvStencilError::UnsupportedNk { nk });
         }
-        let groups = (64 / (nk + 1)).max(1);
+        let groups = 64 / (nk + 1) / 8 * 8;
         Self::try_with_block(m, n, nk, 8, groups, variant)
     }
 
@@ -189,6 +192,12 @@ impl Plan2D {
         if block_rows == 0 || block_groups == 0 {
             return Err(ConvStencilError::PlanInvariant {
                 reason: format!("block shape {block_rows} x {block_groups} has a zero extent"),
+            });
+        }
+        // A block computes whole 8-group tessellation bands.
+        if !block_groups.is_multiple_of(8) {
+            return Err(ConvStencilError::PlanInvariant {
+                reason: format!("groups per block must be a multiple of 8 (got {block_groups})"),
             });
         }
         let radius = (nk - 1) / 2;
@@ -591,6 +600,12 @@ mod tests {
         let plan = Plan2D::try_new_3d_plane(128, 128, 3, v5()).unwrap();
         assert_eq!(plan.block_rows, 8);
         assert_eq!(plan.block_groups, 16); // 64 output columns
+
+        // Whole 8-group bands: 48 columns at n_k = 5, 64 at n_k = 7.
+        for nk in [5, 7] {
+            let plan = Plan2D::try_new_3d_plane(128, 128, nk, v5()).unwrap();
+            assert_eq!(plan.block_groups, 8, "nk={nk}");
+        }
     }
 
     #[test]
@@ -607,10 +622,12 @@ mod tests {
             Plan2D::try_new_2d(0, 64, 3, v5()),
             Err(ConvStencilError::ZeroSizedGrid { dims: vec![0, 64] })
         );
-        assert!(matches!(
-            Plan2D::try_with_block(64, 64, 3, 0, 8, v5()),
-            Err(ConvStencilError::PlanInvariant { .. })
-        ));
+        for (rows, groups) in [(0, 8), (8, 10)] {
+            assert!(matches!(
+                Plan2D::try_with_block(64, 64, 5, rows, groups, v5()),
+                Err(ConvStencilError::PlanInvariant { .. })
+            ));
+        }
     }
 
     #[test]

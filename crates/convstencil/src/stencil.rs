@@ -2,7 +2,8 @@
 //!
 //! 1D, 2D and 3D share the stencil2row layout, dual tessellation and the
 //! LUT + dirty-bits scatter; they differ only in their grid, their
-//! executor (3D decomposes into planes) and their reference. [`Stencil`]
+//! executor (2D and 3D are one plane-stack core, `planes`, with one kernel
+//! plane or several) and their reference. [`Stencil`]
 //! is that difference, implemented by [`Kernel1D`], [`Kernel2D`] and
 //! [`Kernel3D`]; the runner ([`crate::api::ConvStencil`]) and the
 //! application loop (`run_applications`) are written once against it.
@@ -10,8 +11,8 @@
 use crate::api::MAX_NK;
 use crate::error::ConvStencilError;
 use crate::exec1d::{try_halo_exchange_1d, Exec1D};
-use crate::exec2d::{try_halo_exchange_2d, Exec2D, ExplicitBuffers};
-use crate::exec3d::{try_halo_exchange_3d, Exec3D, ExplicitBuffers3D};
+use crate::exec2d::{try_halo_exchange_2d, Exec2D};
+use crate::exec3d::{try_halo_exchange_3d, Exec3D};
 use crate::variants::VariantConfig;
 use std::fmt::Debug;
 use stencil_core::reference::{run1d, run2d, run3d};
@@ -21,14 +22,32 @@ use stencil_core::{
 };
 use tcu_sim::{BufferId, Device};
 
+/// Global scratch of the explicit variant (I): the stencil2row matrices A
+/// and B of every extended input plane (one plane in 1D and 2D).
+#[derive(Debug, Clone, Copy)]
+pub struct ExplicitBuffers {
+    pub s2r_a: BufferId,
+    pub s2r_b: BufferId,
+}
+
+/// The scratch an application of `variant` runs with: `scratch` must be
+/// `Some` exactly for the explicit variant.
+pub(crate) fn explicit_scratch(
+    variant: VariantConfig,
+    scratch: Option<ExplicitBuffers>,
+) -> Result<Option<ExplicitBuffers>, ConvStencilError> {
+    match (variant.explicit_global, scratch) {
+        (true, Some(_)) | (false, None) => Ok(scratch),
+        (expected, _) => Err(ConvStencilError::ScratchMismatch { expected }),
+    }
+}
+
 /// What one dimension supplies to the generic pipeline.
 pub trait Stencil: Clone + Debug {
     /// The halo grid the kernel advances.
     type Grid: HaloGrid;
     /// Plan, lookup table and weights for one kernel on one grid extent.
     type Exec;
-    /// Global stencil2row scratch of the explicit variant (I).
-    type Scratch: Copy;
     /// Number of spatial axes.
     const DIM: u32;
 
@@ -68,12 +87,10 @@ pub trait Stencil: Clone + Debug {
         dev: &mut Device,
         ext_in: BufferId,
         ext_out: BufferId,
-        scratch: Option<Self::Scratch>,
+        scratch: Option<ExplicitBuffers>,
     ) -> Result<(), ConvStencilError>;
     /// The explicit variant's scratch; `None` for the implicit variants.
-    fn alloc_explicit(exec: &Self::Exec, dev: &mut Device) -> Option<Self::Scratch>;
-    /// The device buffers `scratch` holds, for releasing them.
-    fn scratch_buffers(scratch: Self::Scratch) -> [BufferId; 2];
+    fn alloc_explicit(exec: &Self::Exec, dev: &mut Device) -> Option<ExplicitBuffers>;
 
     /// `apps` frozen-halo applications (the grid's halo must cover the
     /// radius).
@@ -85,7 +102,6 @@ pub trait Stencil: Clone + Debug {
 impl Stencil for Kernel1D {
     type Grid = Grid1D;
     type Exec = Exec1D;
-    type Scratch = (BufferId, BufferId);
     const DIM: u32 = 1;
 
     fn radius(&self) -> usize {
@@ -127,17 +143,12 @@ impl Stencil for Kernel1D {
         dev: &mut Device,
         ext_in: BufferId,
         ext_out: BufferId,
-        scratch: Option<Self::Scratch>,
+        scratch: Option<ExplicitBuffers>,
     ) -> Result<(), ConvStencilError> {
         exec.try_run_application(dev, ext_in, ext_out, scratch)
     }
-    fn alloc_explicit(exec: &Exec1D, dev: &mut Device) -> Option<Self::Scratch> {
-        exec.variant
-            .explicit_global
-            .then(|| exec.alloc_explicit(dev))
-    }
-    fn scratch_buffers((a, b): Self::Scratch) -> [BufferId; 2] {
-        [a, b]
+    fn alloc_explicit(exec: &Exec1D, dev: &mut Device) -> Option<ExplicitBuffers> {
+        exec.alloc_explicit(dev)
     }
     fn frozen_halo_reference(&self, grid: &Grid1D, apps: usize) -> Grid1D {
         run1d(grid, self, apps)
@@ -150,7 +161,6 @@ impl Stencil for Kernel1D {
 impl Stencil for Kernel2D {
     type Grid = Grid2D;
     type Exec = Exec2D;
-    type Scratch = ExplicitBuffers;
     const DIM: u32 = 2;
 
     fn radius(&self) -> usize {
@@ -197,12 +207,7 @@ impl Stencil for Kernel2D {
         exec.try_run_application(dev, ext_in, ext_out, scratch)
     }
     fn alloc_explicit(exec: &Exec2D, dev: &mut Device) -> Option<ExplicitBuffers> {
-        exec.variant
-            .explicit_global
-            .then(|| exec.alloc_explicit(dev))
-    }
-    fn scratch_buffers(s: ExplicitBuffers) -> [BufferId; 2] {
-        [s.s2r_a, s.s2r_b]
+        exec.alloc_explicit(dev)
     }
     fn frozen_halo_reference(&self, grid: &Grid2D, apps: usize) -> Grid2D {
         run2d(grid, self, apps)
@@ -218,7 +223,6 @@ impl Stencil for Kernel2D {
 impl Stencil for Kernel3D {
     type Grid = Grid3D;
     type Exec = Exec3D;
-    type Scratch = ExplicitBuffers3D;
     const DIM: u32 = 3;
 
     fn radius(&self) -> usize {
@@ -263,17 +267,12 @@ impl Stencil for Kernel3D {
         dev: &mut Device,
         ext_in: BufferId,
         ext_out: BufferId,
-        scratch: Option<ExplicitBuffers3D>,
+        scratch: Option<ExplicitBuffers>,
     ) -> Result<(), ConvStencilError> {
         exec.try_run_application(dev, ext_in, ext_out, scratch)
     }
-    fn alloc_explicit(exec: &Exec3D, dev: &mut Device) -> Option<ExplicitBuffers3D> {
-        exec.variant
-            .explicit_global
-            .then(|| exec.alloc_explicit(dev))
-    }
-    fn scratch_buffers(s: ExplicitBuffers3D) -> [BufferId; 2] {
-        [s.s2r_a, s.s2r_b]
+    fn alloc_explicit(exec: &Exec3D, dev: &mut Device) -> Option<ExplicitBuffers> {
+        exec.alloc_explicit(dev)
     }
     fn frozen_halo_reference(&self, grid: &Grid3D, apps: usize) -> Grid3D {
         run3d(grid, self, apps)
@@ -313,8 +312,9 @@ pub(crate) fn run_applications<K: Stencil>(
     // final extended array out instead of copying the whole grid.
     let out = dev.take_buffer(cur);
     dev.free(next);
-    for id in scratch.into_iter().flat_map(K::scratch_buffers) {
-        dev.free(id);
+    if let Some(s) = scratch {
+        dev.free(s.s2r_a);
+        dev.free(s.s2r_b);
     }
     applied.map(|()| out)
 }

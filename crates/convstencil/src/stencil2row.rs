@@ -17,7 +17,7 @@
 //!
 //! ConvStencil never materializes these matrices in global memory
 //! (they are built implicitly in shared memory, tile by tile; see
-//! `exec2d`); the explicit constructors here are the executable
+//! `planes`); the explicit constructors here are the executable
 //! specification the implicit path is tested against, and they feed the
 //! Table 3 memory measurements and breakdown variant I.
 

@@ -19,7 +19,7 @@
 //! contiguous outputs of one output row — the paper's Box-2D49P example
 //! `[3][3:66]`: 64 contiguous outputs (center-origin row 3 = valid row 0).
 //!
-//! The device pipeline (`exec2d`) performs exactly this arithmetic with
+//! The device pipeline (`planes`) performs exactly this arithmetic with
 //! simulated `m8n8k4` fragments; tests here verify the algebraic identity
 //! against the naive reference, independent of any device machinery.
 

@@ -66,6 +66,11 @@ pub fn verify_layout_2d(plan: &Plan2D, variant: VariantConfig) -> Result<(), Con
         lay.pad
     );
     ensure!(
+        plan.block_groups.is_multiple_of(8),
+        "groups per block must be a multiple of 8 (got {})",
+        plan.block_groups
+    );
+    ensure!(
         lay.tile_rows == plan.block_groups,
         "layout tile_rows {} != plan block_groups {}",
         lay.tile_rows,
@@ -468,6 +473,18 @@ mod tests {
         verify_weights(&WeightMatrices::from_kernel1d(&k1)).unwrap();
         let exec = Exec1D::try_new(&k1, 512, VariantConfig::conv_stencil()).unwrap();
         exec.verify().unwrap();
+    }
+
+    #[test]
+    fn partial_tessellation_band_is_rejected() {
+        // A 10-group block (the 3D n_k = 5 shape before groups came in
+        // whole bands) with a layout consistent with it.
+        let variant = VariantConfig::conv_stencil();
+        let mut plan = Plan2D::try_new_3d_plane(16, 64, 5, variant).unwrap();
+        plan.block_groups = 10;
+        plan.layout = crate::plan::SharedLayout::new(5, 8, 10, plan.krows, variant);
+        let err = verify_layout_2d(&plan, variant).unwrap_err();
+        assert!(err.to_string().contains("multiple of 8"), "{err}");
     }
 
     #[test]

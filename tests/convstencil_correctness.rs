@@ -207,3 +207,38 @@ fn thin_halo_3d_grid_matches_its_rehaloed_copy() {
         );
     }
 }
+
+/// Kernel edge 5 in 3D, a radius-2 box and Heat-3D fused twice, in every
+/// Fig. 6 variant and both boundaries: a plane block must compute every
+/// column group it covers, the ones past its first eight included (here
+/// columns 48-59 of a 64-column grid).
+#[test]
+fn three_dimensional_kernel_edge_5_matches_reference() {
+    let box2 = Kernel3D::new(2, vec![1.0 / 125.0; 125]);
+    let heat = Shape::Heat3D.kernel3d().unwrap();
+    for (label, variant) in VariantConfig::breakdown() {
+        for boundary in [Boundary::Dirichlet, Boundary::Periodic] {
+            for (name, cs) in [
+                ("box r=2", ConvStencil3D::try_new(box2.clone()).unwrap()),
+                (
+                    "Heat-3D x2",
+                    ConvStencil3D::try_with_fusion(heat.clone(), 2).unwrap(),
+                ),
+            ] {
+                let cs = cs.with_variant(variant).with_boundary(boundary);
+                assert_eq!(cs.fused_kernel().nk(), 5, "{name}");
+                let mut grid = Grid3D::new(8, 16, 64, 2);
+                grid.fill_random(9);
+                let (got, _) = cs.try_run(&grid, 2).unwrap();
+                let want = cs.run_reference(&grid, 2);
+                let wrong = got
+                    .interior()
+                    .iter()
+                    .zip(want.interior())
+                    .filter(|&(a, b)| (a - b).abs() > 1e-12 * b.abs().max(1.0))
+                    .count();
+                assert_eq!(wrong, 0, "{name}, {label}, {boundary:?}: cells differ");
+            }
+        }
+    }
+}
