@@ -13,13 +13,18 @@
 //! allocation calls and bytes (`PERF_GATE_MAX_ALLOC_RATIO`, default 1.5)
 //! and a wall-clock gate on the min-of-runs throughput
 //! (`PERF_GATE_MIN_RATIO`, default 0.7).
+//!
+//! The table also shows the median minor page faults per run, read from
+//! `/proc/self/stat` (`-` where it does not exist). It is not gated and
+//! not part of the baseline. Every run builds a new runner, so no run
+//! reuses a runner's working arrays.
 
 use convstencil::{ConvStencil1D, ConvStencil2D, ConvStencil3D};
 use convstencil_baselines::ProblemSize;
 use convstencil_bench::alloc_counter::{self, CountingAlloc};
 use convstencil_bench::perf::{
-    gate_violations, parse_perf_json, perf_baseline_path, write_perf_json, GateThresholds,
-    PerfRecord, PERF_MIN_WALL_S, PERF_RUNS,
+    gate_violations, minor_faults, parse_perf_json, perf_baseline_path, write_perf_json,
+    GateThresholds, PerfRecord, PERF_MIN_WALL_S, PERF_RUNS,
 };
 use convstencil_bench::report::{banner, render_table};
 use convstencil_bench::{workload_for, Workload};
@@ -61,41 +66,50 @@ fn run_workload(shape: Shape, size: ProblemSize, steps: usize) {
     }
 }
 
-fn measure_once(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
+/// One timed run, with the minor page faults it took.
+fn measure_once(shape: Shape, mode: &str, w: &Workload) -> (PerfRecord, Option<u64>) {
+    let faults0 = minor_faults();
     alloc_counter::reset();
     let start = Instant::now();
     run_workload(shape, w.measure_size, w.measure_steps);
     let wall_s = start.elapsed().as_secs_f64();
     let stats = alloc_counter::snapshot();
+    let faults = minor_faults().zip(faults0).map(|(end, begin)| end - begin);
     let points = w.measure_size.points() as f64 * w.measure_steps as f64;
-    PerfRecord {
+    let record = PerfRecord {
         workload: shape.name().to_string(),
         mode: mode.to_string(),
         wall_ms: wall_s * 1e3,
         points_per_sec: points / wall_s,
         allocs: stats.calls,
         alloc_bytes: stats.bytes,
-    }
+    };
+    (record, faults)
 }
 
 /// The fastest of at least `PERF_RUNS` runs that together take at least
 /// `PERF_MIN_WALL_S`, with the smallest allocation ledger seen (the
-/// ledger repeats once lazy set-up is done).
-fn measure(shape: Shape, mode: &str, w: &Workload) -> PerfRecord {
+/// ledger repeats once lazy set-up is done), and the median minor page
+/// faults per run.
+fn measure(shape: Shape, mode: &str, w: &Workload) -> (PerfRecord, Option<u64>) {
     let start = Instant::now();
-    let mut runs = Vec::new();
+    let (mut runs, mut faults) = (Vec::new(), Vec::new());
     while runs.len() < PERF_RUNS || start.elapsed().as_secs_f64() < PERF_MIN_WALL_S {
-        runs.push(measure_once(shape, mode, w));
+        let (run, f) = measure_once(shape, mode, w);
+        runs.push(run);
+        faults.extend(f);
     }
     let fastest = runs
         .iter()
         .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
         .expect("PERF_RUNS is positive");
-    PerfRecord {
+    let record = PerfRecord {
         allocs: runs.iter().map(|r| r.allocs).min().unwrap_or(0),
         alloc_bytes: runs.iter().map(|r| r.alloc_bytes).min().unwrap_or(0),
         ..fastest.clone()
-    }
+    };
+    faults.sort_unstable();
+    (record, faults.get(faults.len() / 2).copied())
 }
 
 fn env_f64(name: &str, default: f64) -> f64 {
@@ -110,12 +124,17 @@ fn main() {
     let full = args.iter().any(|a| a == "--full");
     let update = args.iter().any(|a| a == "--update-baseline");
     print!("{}", banner("Perf gate: Fig. 6 workload wall-clock"));
-    let mut records = Vec::new();
+    let (mut records, mut faults) = (Vec::new(), Vec::new());
     for shape in [Shape::Heat1D, Shape::Box2D9P, Shape::Box3D27P] {
         let w = workload_for(shape);
-        records.push(measure(shape, "quick", &w.quick()));
+        let mut modes = vec![("quick", w.quick())];
         if full {
-            records.push(measure(shape, "full", &w));
+            modes.push(("full", w));
+        }
+        for (mode, w) in &modes {
+            let (record, f) = measure(shape, mode, w);
+            records.push(record);
+            faults.push(f);
         }
     }
     let mut rows = vec![vec![
@@ -125,8 +144,9 @@ fn main() {
         "Points/s".to_string(),
         "Allocs".to_string(),
         "Alloc MiB".to_string(),
+        "Minor faults".to_string(),
     ]];
-    for r in &records {
+    for (r, f) in records.iter().zip(&faults) {
         rows.push(vec![
             r.workload.clone(),
             r.mode.clone(),
@@ -134,6 +154,7 @@ fn main() {
             format!("{:.3e}", r.points_per_sec),
             r.allocs.to_string(),
             format!("{:.1}", r.alloc_bytes as f64 / (1 << 20) as f64),
+            f.map_or_else(|| "-".to_string(), |f| f.to_string()),
         ]);
     }
     print!("{}", render_table(&rows));

@@ -214,6 +214,21 @@ pub fn perf_baseline_path() -> PathBuf {
     Path::new(RESULTS_DIR).join("BENCH_perf.json")
 }
 
+/// Minor page faults this process has taken so far, from
+/// `/proc/self/stat`; `None` where that file is missing or unreadable.
+/// Informational only: the gate never reads it.
+pub fn minor_faults() -> Option<u64> {
+    parse_minflt(&std::fs::read_to_string("/proc/self/stat").ok()?)
+}
+
+/// Field 10 (`minflt`) of a `/proc/<pid>/stat` line. The command name in
+/// field 2 may hold spaces and parentheses, so fields are counted from
+/// its last closing parenthesis.
+fn parse_minflt(stat: &str) -> Option<u64> {
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
 /// Write `results/BENCH_perf.json` atomically. Returns the path.
 pub fn write_perf_json(records: &[PerfRecord]) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(RESULTS_DIR)?;
@@ -235,6 +250,14 @@ mod tests {
             allocs,
             alloc_bytes: 4096 * allocs,
         }
+    }
+
+    #[test]
+    fn minflt_is_counted_from_the_command_name_end() {
+        let stat = "4242 (perf gate) x) R 1 4242 4242 0 -1 4194560 1234 0 7 0 9 3";
+        assert_eq!(parse_minflt(stat), Some(1234));
+        assert_eq!(parse_minflt("4242 (short) R 1 2"), None);
+        assert_eq!(parse_minflt("no command name"), None);
     }
 
     #[test]

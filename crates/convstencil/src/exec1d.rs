@@ -8,10 +8,10 @@
 
 use crate::epilogue::write_row;
 use crate::error::ConvStencilError;
-use crate::plan::{copy_aligned, LUT_SKIP};
+use crate::plan::{copy_aligned, resize_for_overwrite, LUT_SKIP};
 use crate::planes::{column_map, declare_exempt, unpack_band};
 use crate::scatter::{AccessLedger, LutScatter};
-use crate::stencil::{explicit_scratch, run_applications, ExplicitBuffers};
+use crate::stencil::{explicit_scratch, run_applications_from, ExplicitBuffers};
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::{StagedWeights, WeightMatrices, FRAG_K};
@@ -120,6 +120,19 @@ impl Plan1D {
 
     /// Build the extended array from a 1D grid.
     pub fn try_build_ext(&self, grid: &stencil_core::Grid1D) -> Result<Vec<f64>, ConvStencilError> {
+        let mut ext = Vec::new();
+        self.try_build_ext_into(grid, &mut ext)?;
+        Ok(ext)
+    }
+
+    /// [`Plan1D::try_build_ext`] into recycled storage: `ext` is resized
+    /// to the extended array and every element overwritten. On error `ext`
+    /// is left untouched.
+    pub fn try_build_ext_into(
+        &self,
+        grid: &stencil_core::Grid1D,
+        ext: &mut Vec<f64>,
+    ) -> Result<(), ConvStencilError> {
         if grid.len() != self.n {
             return Err(ConvStencilError::ShapeMismatch {
                 expected: vec![self.n],
@@ -133,10 +146,10 @@ impl Plan1D {
                 radius: self.radius,
             });
         }
-        // Ext column c holds padded cell c + h - lc.
-        let mut ext = vec![0.0; self.ext_len];
-        copy_aligned(&mut ext, self.lc, grid.padded(), h);
-        Ok(ext)
+        // Ext column c holds padded cell c + h - lc; the rest is zero.
+        resize_for_overwrite(ext, self.ext_len);
+        copy_aligned(ext, self.lc, grid.padded(), h);
+        Ok(())
     }
 
     /// Extract the interior from an extended array.
@@ -505,7 +518,7 @@ pub fn try_run_1d_applications_bc(
     apps: usize,
     boundary: Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    run_applications::<Kernel1D>(dev, exec, ext0.to_vec(), apps, boundary)
+    run_applications_from::<Kernel1D>(dev, exec, ext0, apps, boundary)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 use crate::error::ConvStencilError;
 use crate::plan::{Plan2D, ScatterLut};
 use crate::planes::{PlaneKind, PlaneStack};
-use crate::stencil::{run_applications, ExplicitBuffers};
+use crate::stencil::{run_applications_from, ExplicitBuffers};
 use crate::variants::VariantConfig;
 use stencil_core::{Boundary, Kernel2D};
 use tcu_sim::{BufferId, Device, Phase};
@@ -154,7 +154,7 @@ pub fn try_run_2d_applications_bc(
     apps: usize,
     boundary: Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    run_applications::<Kernel2D>(dev, exec, ext0.to_vec(), apps, boundary)
+    run_applications_from::<Kernel2D>(dev, exec, ext0, apps, boundary)
 }
 
 #[cfg(test)]

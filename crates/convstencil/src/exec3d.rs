@@ -15,9 +15,9 @@
 //! dense center plane goes through dual tessellation.
 
 use crate::error::ConvStencilError;
-use crate::plan::{Plan2D, ScatterLut};
+use crate::plan::{resize_for_overwrite, Plan2D, ScatterLut};
 use crate::planes::{PlaneKind, PlaneStack};
-use crate::stencil::{run_applications, ExplicitBuffers};
+use crate::stencil::{run_applications_from, ExplicitBuffers};
 use crate::variants::VariantConfig;
 use stencil_core::{Boundary, Grid3D, Kernel3D};
 use tcu_sim::{BufferId, Device, Phase};
@@ -115,6 +115,19 @@ impl Exec3D {
 
     /// Build the 3D extended array from a grid.
     pub fn try_build_ext(&self, grid: &Grid3D) -> Result<Vec<f64>, ConvStencilError> {
+        let mut ext = Vec::new();
+        self.try_build_ext_into(grid, &mut ext)?;
+        Ok(ext)
+    }
+
+    /// [`Exec3D::try_build_ext`] into recycled storage: `ext` is resized
+    /// to the extended array and every element overwritten. On error `ext`
+    /// is left untouched.
+    pub fn try_build_ext_into(
+        &self,
+        grid: &Grid3D,
+        ext: &mut Vec<f64>,
+    ) -> Result<(), ConvStencilError> {
         let (d, p) = (self.stack.d, &self.plane_plan);
         if (grid.depth(), grid.rows(), grid.cols()) != (d, p.m, p.n) {
             return Err(ConvStencilError::ShapeMismatch {
@@ -133,14 +146,15 @@ impl Exec3D {
         let ps = self.plane_size();
         let pcols = grid.padded_cols();
         let grid_ps = grid.padded_rows() * pcols;
-        let mut ext = vec![0.0; self.ext_planes() * ps];
+        resize_for_overwrite(ext, self.ext_planes() * ps);
         for (p, ext_plane) in ext.chunks_exact_mut(ps).enumerate() {
             let pz = p + h - rz;
-            if let Some(plane) = grid.padded().get(pz * grid_ps..(pz + 1) * grid_ps) {
-                self.plane_plan.fill_ext_plane(ext_plane, plane, pcols, h);
+            match grid.padded().get(pz * grid_ps..(pz + 1) * grid_ps) {
+                Some(plane) => self.plane_plan.fill_ext_plane(ext_plane, plane, pcols, h),
+                None => ext_plane.fill(0.0),
             }
         }
-        Ok(ext)
+        Ok(())
     }
 
     /// Extract the interior into `grid`.
@@ -240,7 +254,7 @@ pub fn try_run_3d_applications_bc(
     apps: usize,
     boundary: Boundary,
 ) -> Result<Vec<f64>, ConvStencilError> {
-    run_applications::<Kernel3D>(dev, exec, ext0.to_vec(), apps, boundary)
+    run_applications_from::<Kernel3D>(dev, exec, ext0, apps, boundary)
 }
 
 #[cfg(test)]

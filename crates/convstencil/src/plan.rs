@@ -270,6 +270,19 @@ impl Plan2D {
     /// Build the extended array from a grid (interior + available halo;
     /// zero beyond). The grid's halo must be at least `radius`.
     pub fn try_build_ext(&self, grid: &Grid2D) -> Result<Vec<f64>, ConvStencilError> {
+        let mut ext = Vec::new();
+        self.try_build_ext_into(grid, &mut ext)?;
+        Ok(ext)
+    }
+
+    /// [`Plan2D::try_build_ext`] into recycled storage: `ext` is resized
+    /// to the extended array and every element overwritten, so nothing of
+    /// its previous contents survives. On error `ext` is left untouched.
+    pub fn try_build_ext_into(
+        &self,
+        grid: &Grid2D,
+        ext: &mut Vec<f64>,
+    ) -> Result<(), ConvStencilError> {
         if grid.rows() != self.m || grid.cols() != self.n {
             return Err(ConvStencilError::ShapeMismatch {
                 expected: vec![self.m, self.n],
@@ -283,20 +296,22 @@ impl Plan2D {
                 radius: self.radius,
             });
         }
-        let mut ext = vec![0.0; self.ext_rows * self.ext_cols];
-        self.fill_ext_plane(&mut ext, grid.padded(), grid.padded_cols(), h);
-        Ok(ext)
+        resize_for_overwrite(ext, self.ext_rows * self.ext_cols);
+        self.fill_ext_plane(ext, grid.padded(), grid.padded_cols(), h);
+        Ok(())
     }
 
-    /// Copy a padded plane with `pcols` columns and halo `h` into the
-    /// zeroed extended plane `ext`, one row slice at a time: ext row `r`
-    /// holds padded row `r + h - radius`, and ext column `c` padded column
-    /// `c + h - lc`. Cells outside the padded plane stay zero.
+    /// Write the extended plane `ext` from a padded plane with `pcols`
+    /// columns and halo `h`, one row slice at a time: ext row `r` holds
+    /// padded row `r + h - radius`, and ext column `c` padded column
+    /// `c + h - lc`. Cells outside the padded plane are zeroed, so every
+    /// element of `ext` is written.
     pub(crate) fn fill_ext_plane(&self, ext: &mut [f64], padded: &[f64], pcols: usize, h: usize) {
         for (r, ext_row) in ext.chunks_exact_mut(self.ext_cols).enumerate() {
             let px = r + h - self.radius;
-            if let Some(row) = padded.get(px * pcols..(px + 1) * pcols) {
-                copy_aligned(ext_row, self.lc, row, h);
+            match padded.get(px * pcols..(px + 1) * pcols) {
+                Some(row) => copy_aligned(ext_row, self.lc, row, h),
+                None => ext_row.fill(0.0),
             }
         }
     }
@@ -414,14 +429,29 @@ impl ScatterLut {
     }
 }
 
-/// `dst[c] = src[c + from - to]` for every `c` where both exist: one row
-/// copy between two layouts whose column `to` of `dst` and column `from`
-/// of `src` hold the same cell.
+/// Size `ext` to `len` elements for a transform that then writes every
+/// one of them. Storage too small to recycle is replaced by zeroed storage
+/// from the allocator, which costs no more than a fresh array always did.
+pub(crate) fn resize_for_overwrite(ext: &mut Vec<f64>, len: usize) {
+    if ext.capacity() < len {
+        *ext = vec![0.0; len];
+    } else {
+        ext.resize(len, 0.0);
+    }
+}
+
+/// `dst[c] = src[c + from - to]` for every `c` where both exist, and
+/// `dst[c] = 0` for every other `c`: one row copy between two layouts
+/// whose column `to` of `dst` and column `from` of `src` hold the same
+/// cell, writing each element of `dst` once.
 pub(crate) fn copy_aligned(dst: &mut [f64], to: usize, src: &[f64], from: usize) {
     let lead = to.min(from);
-    let (dst, src) = (&mut dst[to - lead..], &src[from - lead..]);
-    let len = dst.len().min(src.len());
-    dst[..len].copy_from_slice(&src[..len]);
+    let (head, body) = dst.split_at_mut(to - lead);
+    let src = &src[from - lead..];
+    let len = body.len().min(src.len());
+    head.fill(0.0);
+    body[..len].copy_from_slice(&src[..len]);
+    body[len..].fill(0.0);
 }
 
 #[cfg(test)]
@@ -439,14 +469,11 @@ mod tests {
         for dst_len in [0, 4, 9, 14] {
             for to in 0..dst_len.max(1) {
                 for from in 0..src.len() {
+                    // Stale contents must not survive the copy.
                     let mut got = vec![-1.0; dst_len];
                     copy_aligned(&mut got, to, &src, from);
                     let want: Vec<f64> = (0..dst_len)
-                        .map(|c| {
-                            src.get((c + from).wrapping_sub(to))
-                                .copied()
-                                .unwrap_or(-1.0)
-                        })
+                        .map(|c| src.get((c + from).wrapping_sub(to)).copied().unwrap_or(0.0))
                         .collect();
                     assert_eq!(got, want, "dst_len {dst_len} to {to} from {from}");
                 }

@@ -72,8 +72,13 @@ pub trait Stencil: Clone + Debug {
     fn exec(&self, dims: &[usize], variant: VariantConfig) -> Result<Self::Exec, ConvStencilError>;
     /// Static plan verification (see [`crate::verify_plan`]).
     fn verify(exec: &Self::Exec) -> Result<(), ConvStencilError>;
-    /// Host layout transform: the grid as the executor's extended array.
-    fn try_build_ext(exec: &Self::Exec, grid: &Self::Grid) -> Result<Vec<f64>, ConvStencilError>;
+    /// Host layout transform: the grid as the executor's extended array,
+    /// written over every element of `ext` (left untouched on error).
+    fn try_build_ext_into(
+        exec: &Self::Exec,
+        grid: &Self::Grid,
+        ext: &mut Vec<f64>,
+    ) -> Result<(), ConvStencilError>;
     /// Copy the interior of an extended array back into `grid`.
     fn extract_into(exec: &Self::Exec, ext: &[f64], grid: &mut Self::Grid);
     /// On-device periodic wrap of the extended array's halo.
@@ -125,8 +130,12 @@ impl Stencil for Kernel1D {
     fn verify(exec: &Exec1D) -> Result<(), ConvStencilError> {
         exec.verify()
     }
-    fn try_build_ext(exec: &Exec1D, grid: &Grid1D) -> Result<Vec<f64>, ConvStencilError> {
-        exec.plan.try_build_ext(grid)
+    fn try_build_ext_into(
+        exec: &Exec1D,
+        grid: &Grid1D,
+        ext: &mut Vec<f64>,
+    ) -> Result<(), ConvStencilError> {
+        exec.plan.try_build_ext_into(grid, ext)
     }
     fn extract_into(exec: &Exec1D, ext: &[f64], grid: &mut Grid1D) {
         exec.plan.extract_into(ext, grid)
@@ -184,8 +193,12 @@ impl Stencil for Kernel2D {
     fn verify(exec: &Exec2D) -> Result<(), ConvStencilError> {
         exec.verify()
     }
-    fn try_build_ext(exec: &Exec2D, grid: &Grid2D) -> Result<Vec<f64>, ConvStencilError> {
-        exec.plan.try_build_ext(grid)
+    fn try_build_ext_into(
+        exec: &Exec2D,
+        grid: &Grid2D,
+        ext: &mut Vec<f64>,
+    ) -> Result<(), ConvStencilError> {
+        exec.plan.try_build_ext_into(grid, ext)
     }
     fn extract_into(exec: &Exec2D, ext: &[f64], grid: &mut Grid2D) {
         exec.plan.extract_into(ext, grid)
@@ -249,8 +262,12 @@ impl Stencil for Kernel3D {
     fn verify(exec: &Exec3D) -> Result<(), ConvStencilError> {
         exec.verify()
     }
-    fn try_build_ext(exec: &Exec3D, grid: &Grid3D) -> Result<Vec<f64>, ConvStencilError> {
-        exec.try_build_ext(grid)
+    fn try_build_ext_into(
+        exec: &Exec3D,
+        grid: &Grid3D,
+        ext: &mut Vec<f64>,
+    ) -> Result<(), ConvStencilError> {
+        exec.try_build_ext_into(grid, ext)
     }
     fn extract_into(exec: &Exec3D, ext: &[f64], grid: &mut Grid3D) {
         exec.extract_into(ext, grid)
@@ -282,21 +299,46 @@ impl Stencil for Kernel3D {
     }
 }
 
-/// Run `apps` applications over a fresh ping-pong buffer pair seeded
-/// with the extended array `ext0`, and return the final extended array.
-/// Under periodic boundaries the halo is wrapped on-device before every
-/// application, which also makes temporal fusion exact. Every buffer the
-/// run allocates is released before it returns, on success and on error,
-/// so a long-lived device does not grow with the number of runs.
+/// Host storage of one run's extended arrays: the extended array (the
+/// ping-pong pair's first buffer, and the final array a run hands back)
+/// and the storage of the pair's second buffer.
+#[derive(Debug, Default)]
+pub(crate) struct WorkArrays {
+    pub(crate) ext: Vec<f64>,
+    pub(crate) spare: Vec<f64>,
+    /// Keep both arrays' storage for the next run. Unset, each array is
+    /// released as soon as the run is done with it (the second buffer
+    /// before the result grid is allocated, the extended array once it is
+    /// extracted), so a run peaks at the memory it always did.
+    pub(crate) keep: bool,
+}
+
+impl WorkArrays {
+    /// f64 values held over both arrays' storage.
+    pub(crate) fn capacity(&self) -> usize {
+        self.ext.capacity() + self.spare.capacity()
+    }
+}
+
+/// Run `apps` applications over a ping-pong buffer pair seeded with the
+/// extended array `work.ext`, leaving the final extended array in
+/// `work.ext` (on error, whatever the pair last held). The second buffer
+/// is a copy of the first written into `work.spare`'s storage, which it
+/// returns to when the run ends unless `work.keep` is unset. Either way,
+/// on success and on error, the device holds nothing of the run
+/// afterwards. Under periodic boundaries the halo is wrapped on-device
+/// before every application, which also makes temporal fusion exact.
 pub(crate) fn run_applications<K: Stencil>(
     dev: &mut Device,
     exec: &K::Exec,
-    ext0: Vec<f64>,
+    work: &mut WorkArrays,
     apps: usize,
     boundary: Boundary,
-) -> Result<Vec<f64>, ConvStencilError> {
-    let copy = ext0.clone();
-    let a = dev.alloc_vec(ext0);
+) -> Result<(), ConvStencilError> {
+    let mut copy = std::mem::take(&mut work.spare);
+    copy.clear();
+    copy.extend_from_slice(&work.ext);
+    let a = dev.alloc_vec(std::mem::take(&mut work.ext));
     let b = dev.alloc_vec(copy);
     let scratch = K::alloc_explicit(exec, dev);
     let (mut cur, mut next) = (a, b);
@@ -310,11 +352,32 @@ pub(crate) fn run_applications<K: Stencil>(
     });
     // The device never touches the ping-pong buffers again: move the
     // final extended array out instead of copying the whole grid.
-    let out = dev.take_buffer(cur);
-    dev.free(next);
+    work.ext = dev.take_buffer(cur);
+    if work.keep {
+        work.spare = dev.take_buffer(next);
+    } else {
+        dev.free(next);
+    }
     if let Some(s) = scratch {
         dev.free(s.s2r_a);
         dev.free(s.s2r_b);
     }
-    applied.map(|()| out)
+    applied
+}
+
+/// [`run_applications`] over a borrowed initial extended array, on
+/// storage of its own that it releases: returns the final extended array.
+pub(crate) fn run_applications_from<K: Stencil>(
+    dev: &mut Device,
+    exec: &K::Exec,
+    ext0: &[f64],
+    apps: usize,
+    boundary: Boundary,
+) -> Result<Vec<f64>, ConvStencilError> {
+    let mut work = WorkArrays {
+        ext: ext0.to_vec(),
+        ..WorkArrays::default()
+    };
+    run_applications::<K>(dev, exec, &mut work, apps, boundary)?;
+    Ok(work.ext)
 }
