@@ -104,6 +104,19 @@ impl RunReport {
     }
 }
 
+/// What one device's attempts at a run came to (see
+/// [`ConvStencil::try_run_attempts`]).
+#[derive(Debug)]
+pub struct Attempts<G> {
+    /// The first output that passed its check; `None` when the retries
+    /// ran out or the device died first.
+    pub accepted: Option<G>,
+    /// Failed attempts: device errors plus failed checks.
+    pub detected: u64,
+    /// Attempts after the first, each under a new fault epoch.
+    pub retries: u64,
+}
+
 /// Record a host-side scope (reference verify, retry marker) in the
 /// device's trace. Counters stay zero, so traced runs keep the
 /// spans-sum-to-ledger invariant; a no-op when tracing is off.
@@ -147,7 +160,7 @@ pub struct VerifyConfig {
     /// Mixed absolute/relative tolerance for the residual checks.
     pub tol: f64,
     /// Full re-runs allowed after a detected corruption before the runner
-    /// degrades to the reference result.
+    /// degrades to the reference result (a dead device gets none).
     pub max_retries: u64,
     /// Sampled tiles compared per attempt. `0` compares the entire grid
     /// (strongest, costs one full reference pass).
@@ -349,8 +362,8 @@ impl SampledReference {
 /// arrays of its last run and reuses them on the next one: two extended
 /// arrays, about 16.3 MiB for a fused 1024² 2D grid. A runner run once
 /// holds nothing; a clone starts as a new runner; dropping the runner
-/// frees the arrays. [`ConvStencil::try_run_on_device`] neither uses nor
-/// keeps them.
+/// frees the arrays. [`ConvStencil::try_run_attempts`] runs on a
+/// caller-owned device and the arrays its caller passes.
 #[derive(Debug, Clone)]
 pub struct ConvStencil<K: Stencil> {
     kernel: K,
@@ -558,22 +571,6 @@ impl<K: Stencil> ConvStencil<K> {
         let mut dev = self.make_device();
         dev.set_fault_plan(fault);
         dev
-    }
-
-    /// Advance `steps` on a caller-owned device; counters accumulate on
-    /// that device's ledger. Grid-shape validation matches
-    /// [`ConvStencil::try_run`]; the device pool's job loop drives pool
-    /// slots through this entry point so one device can serve many chunks
-    /// and jobs.
-    #[must_use = "dropping the result discards the advanced grid and any error"]
-    pub fn try_run_on_device(
-        &self,
-        dev: &mut Device,
-        grid: &K::Grid,
-        steps: usize,
-    ) -> Result<K::Grid, ConvStencilError> {
-        points(grid)?;
-        self.try_run_on(dev, grid, steps, &mut WorkArrays::default())
     }
 
     /// CPU ground truth for `steps` time steps, mirroring the device
@@ -810,42 +807,13 @@ impl<K: Stencil> ConvStencil<K> {
         let reference_ns = reference_start.elapsed().as_nanos() as u64;
         let mut dev = self.make_device();
         push_host_span(&mut dev, Phase::Verify, reference_ns);
-        let (mut detected, mut retries, mut accepted) = (0u64, 0u64, None);
-        self.work.with(|work| {
-            for attempt in 0..=cfg.max_retries {
-                if attempt > 0 {
-                    dev.advance_fault_epoch();
-                    retries += 1;
-                    push_host_span(&mut dev, Phase::Retry, 0);
-                }
-                match self.try_run_on(&mut dev, grid, steps, work) {
-                    Ok(out) => {
-                        let check_start = Instant::now();
-                        let check = want.check(&out);
-                        push_host_span(
-                            &mut dev,
-                            Phase::Verify,
-                            check_start.elapsed().as_nanos() as u64,
-                        );
-                        match check {
-                            Ok(()) => {
-                                accepted = Some(out);
-                                break;
-                            }
-                            Err(_) => detected += 1,
-                        }
-                    }
-                    Err(ConvStencilError::Device(_)) => detected += 1,
-                    Err(other) => return Err(other),
-                }
-            }
-            Ok(())
+        let attempts = self.work.with(|work| {
+            self.try_run_attempts(&mut dev, grid, steps, work, Some(&want), cfg.max_retries)
         })?;
-        let degraded = accepted.is_none();
-        let result = match (accepted, full) {
-            (Some(out), _) => out,
-            (None, Some(full)) => full,
-            (None, None) => {
+        let degraded = attempts.accepted.is_none();
+        let result = match attempts.accepted.or(full) {
+            Some(out) => out,
+            None => {
                 // Degraded with only the sampled cells computed: the
                 // reference result is the whole grid.
                 let start = Instant::now();
@@ -856,10 +824,65 @@ impl<K: Stencil> ConvStencil<K> {
         };
         let mut report = RunReport::from_device(&mut dev, points, steps as u64);
         report.verified = true;
-        report.faults_detected = detected;
-        report.retries = retries;
+        report.faults_detected = attempts.detected;
+        report.retries = attempts.retries;
         report.degraded = degraded;
         Ok((result, report))
+    }
+
+    /// The same-device rung of the attempt ladder: run on `dev`, check
+    /// the output against `expected` when given, and after a device error
+    /// or a failed check advance the fault epoch and run again, at most
+    /// `max_retries` more times and never on a dead device. Other errors
+    /// propagate. Each check pushes a host `Verify` span and each retry a
+    /// `Retry` span. Counters accumulate on `dev`'s ledger, so one device
+    /// can serve many chunks and jobs.
+    ///
+    /// A verified one-shot run is this rung on its own device, falling
+    /// back to the reference when it is exhausted; a runtime job chunk is
+    /// this rung on its active pool device, falling back to the breaker,
+    /// migration and the reference.
+    #[must_use = "dropping the result discards the accepted grid and the attempt counts"]
+    pub fn try_run_attempts(
+        &self,
+        dev: &mut Device,
+        grid: &K::Grid,
+        steps: usize,
+        work: &mut WorkArrays,
+        expected: Option<&SampledReference>,
+        max_retries: u64,
+    ) -> Result<Attempts<K::Grid>, ConvStencilError> {
+        points(grid)?;
+        let mut attempts = Attempts {
+            accepted: None,
+            detected: 0,
+            retries: 0,
+        };
+        loop {
+            match self.try_run_on(dev, grid, steps, work) {
+                Ok(out) => {
+                    let passed = expected.is_none_or(|want| {
+                        let start = Instant::now();
+                        let check = want.check(&out);
+                        push_host_span(dev, Phase::Verify, start.elapsed().as_nanos() as u64);
+                        check.is_ok()
+                    });
+                    if passed {
+                        attempts.accepted = Some(out);
+                        return Ok(attempts);
+                    }
+                }
+                Err(ConvStencilError::Device(_)) => {}
+                Err(other) => return Err(other),
+            }
+            attempts.detected += 1;
+            if dev.is_dead() || attempts.retries == max_retries {
+                return Ok(attempts);
+            }
+            dev.advance_fault_epoch();
+            attempts.retries += 1;
+            push_host_span(dev, Phase::Retry, 0);
+        }
     }
 
     fn make_device(&self) -> Device {
@@ -1027,7 +1050,10 @@ mod tests {
         let mut dev = cs.pool_device(None);
         let mut after_first = None;
         for run in 0..200 {
-            cs.try_run_on_device(&mut dev, &grid, 3).unwrap();
+            let attempts = cs
+                .try_run_attempts(&mut dev, &grid, 3, &mut WorkArrays::default(), None, 0)
+                .unwrap();
+            assert!(attempts.accepted.is_some());
             let held = *after_first.get_or_insert(dev.global_len());
             assert_eq!(dev.global_len(), held, "{} run {run}", variant.label());
         }

@@ -8,7 +8,6 @@
 //! proc-macro dependencies in the offline build.
 
 use std::fmt;
-use stencil_core::VerifyError;
 use tcu_sim::DeviceError;
 
 /// Any error the ConvStencil pipeline can report.
@@ -70,8 +69,6 @@ pub enum ConvStencilError {
     QueueFull { capacity: usize },
     /// The simulated device rejected a launch.
     Device(DeviceError),
-    /// Verified execution detected corruption that retries did not clear.
-    VerificationFailed { retries: u64, source: VerifyError },
 }
 
 /// Which clock a [`ConvStencilError::DeadlineExceeded`] was measured on.
@@ -157,9 +154,6 @@ impl fmt::Display for ConvStencilError {
                 write!(f, "job queue full (capacity {capacity})")
             }
             ConvStencilError::Device(e) => write!(f, "device fault: {e}"),
-            ConvStencilError::VerificationFailed { retries, source } => {
-                write!(f, "verification failed after {retries} retries: {source}")
-            }
         }
     }
 }
@@ -168,7 +162,6 @@ impl std::error::Error for ConvStencilError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ConvStencilError::Device(e) => Some(e),
-            ConvStencilError::VerificationFailed { source, .. } => Some(source),
             _ => None,
         }
     }

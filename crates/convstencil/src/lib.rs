@@ -39,7 +39,7 @@ pub mod verify_plan;
 pub mod weights;
 
 pub use api::{
-    check_samples, ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport,
+    check_samples, Attempts, ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, RunReport,
     SampledReference, VerifyConfig, MAX_NK,
 };
 pub use error::{ConvStencilError, DeadlineKind};
@@ -48,7 +48,7 @@ pub use exec2d::Exec2D;
 pub use exec3d::Exec3D;
 pub use plan::{Plan2D, ScatterLut};
 pub use profile::{PhaseSummary, Profile};
-pub use stencil::Stencil;
+pub use stencil::{Stencil, WorkArrays};
 pub use variants::VariantConfig;
 pub use verify_plan::{
     verify_layout_2d, verify_lut_1d, verify_lut_2d, verify_plan_1d, verify_weights,

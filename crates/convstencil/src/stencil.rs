@@ -301,9 +301,10 @@ impl Stencil for Kernel3D {
 
 /// Host storage of one run's extended arrays: the extended array (the
 /// ping-pong pair's first buffer, and the final array a run hands back)
-/// and the storage of the pair's second buffer.
+/// and the storage of the pair's second buffer. A default value holds
+/// nothing and releases each array as soon as a run is done with it.
 #[derive(Debug, Default)]
-pub(crate) struct WorkArrays {
+pub struct WorkArrays {
     pub(crate) ext: Vec<f64>,
     pub(crate) spare: Vec<f64>,
     /// Keep both arrays' storage for the next run. Unset, each array is

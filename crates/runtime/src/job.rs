@@ -1,10 +1,12 @@
 //! The resilient job runtime.
 //!
 //! Turns the one-shot `ConvStencil::try_run` entry point into jobs
-//! executed on a [`DevicePool`] with a per-chunk degradation ladder:
+//! executed on a [`DevicePool`] with a per-chunk attempt ladder:
 //!
 //! 1. **retry on the same device** — advance its fault epoch and rerun
-//!    the chunk (the PR 1 verified-retry move);
+//!    the chunk, once, unless the device is dead
+//!    ([`ConvStencil::try_run_attempts`], the rung a verified one-shot
+//!    run climbs on its own device);
 //! 2. **circuit-break and migrate** — record the failure on the slot's
 //!    breaker and replay the chunk on another healthy device from the
 //!    last committed grid (the in-memory equivalent of the newest
@@ -29,10 +31,14 @@ use crate::checkpoint::{load_latest, Checkpoint, DeviceCursor};
 use crate::pool::{DevicePool, DeviceSlot};
 use convstencil::{
     ConvStencil, ConvStencil1D, ConvStencil2D, ConvStencil3D, ConvStencilError, DeadlineKind,
-    SampledReference, Stencil, VariantConfig, VerifyConfig,
+    Stencil, VariantConfig, VerifyConfig, WorkArrays,
 };
 use stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, HaloGrid};
 use tcu_sim::{CostModel, Counters, Device, FaultPlan, LaunchStats, SanitizerReport};
+
+/// Same-device retries a chunk gets before its failure is recorded on the
+/// breaker and the job migrates (none on a dead device).
+const SAME_DEVICE_RETRIES: u64 = 1;
 
 /// Runtime-wide configuration (shared by every job the runtime executes).
 #[derive(Debug, Clone)]
@@ -60,10 +66,10 @@ pub struct RuntimeConfig {
     pub cost_budget_ms: Option<u64>,
     /// When set, every chunk is spot-checked against the CPU reference
     /// (silent corruption then joins launch failures in the ladder).
+    /// `VerifyConfig::max_retries` governs one-shot runs only: a chunk
+    /// gets one same-device retry before the failure is recorded on the
+    /// breaker and the job migrates.
     pub verify: Option<VerifyConfig>,
-    /// Same-device retries per chunk before the failure is recorded on
-    /// the breaker and the job migrates.
-    pub max_retries_per_device: u64,
     /// Test hook: stop cleanly (outcome `halted = true`) after this many
     /// checkpoints have been written, simulating a crash whose last act
     /// was a completed checkpoint.
@@ -82,7 +88,6 @@ impl Default for RuntimeConfig {
             wall_budget_ms: None,
             cost_budget_ms: None,
             verify: None,
-            max_retries_per_device: 1,
             halt_after_checkpoints: None,
         }
     }
@@ -115,30 +120,6 @@ macro_rules! each_dim {
             } => $body,
         }
     };
-}
-
-/// Run one chunk on `dev`; commit the grid only on success. With a
-/// verify config, the output is spot-checked against the reference
-/// decomposition of the same chunk before committing; the sampled
-/// reference values are computed on the first checked attempt and kept
-/// in `expected` for the chunk's retries and migrations.
-fn chunk_on<K: Stencil>(
-    runner: &ConvStencil<K>,
-    grid: &mut K::Grid,
-    dev: &mut Device,
-    steps: usize,
-    verify: Option<&VerifyConfig>,
-    expected: &mut Option<SampledReference>,
-) -> Result<(), ConvStencilError> {
-    let out = runner.try_run_on_device(dev, grid, steps)?;
-    if let Some(cfg) = verify {
-        expected
-            .get_or_insert_with(|| runner.sampled_reference(grid, steps, cfg))
-            .check(&out)
-            .map_err(|source| ConvStencilError::VerificationFailed { retries: 0, source })?;
-    }
-    *grid = out;
-    Ok(())
 }
 
 /// Rebuild a `K` runner and its grid from a checkpoint, on top of the
@@ -191,18 +172,6 @@ impl JobPayload {
 
     fn pool_device(&self, plan: Option<FaultPlan>) -> Device {
         each_dim!(self, |runner, _| runner.pool_device(plan))
-    }
-
-    fn try_chunk_on(
-        &mut self,
-        dev: &mut Device,
-        steps: usize,
-        verify: Option<&VerifyConfig>,
-        expected: &mut Option<SampledReference>,
-    ) -> Result<(), ConvStencilError> {
-        each_dim!(self, |runner, grid| chunk_on(
-            runner, grid, dev, steps, verify, expected
-        ))
     }
 
     /// Run one chunk on the CPU reference backend (always succeeds).
@@ -362,14 +331,6 @@ pub struct JobOutcome {
     pub halted: bool,
 }
 
-/// Failures the degradation ladder absorbs; anything else propagates.
-fn is_ladder_error(e: &ConvStencilError) -> bool {
-    matches!(
-        e,
-        ConvStencilError::Device(_) | ConvStencilError::VerificationFailed { .. }
-    )
-}
-
 fn validate_job_name(name: &str) -> Result<(), ConvStencilError> {
     if !name.is_empty()
         && name
@@ -501,8 +462,7 @@ impl Runtime {
             ..JobReport::default()
         };
         let mut steps_done = 0u64;
-        let sanitizing = pool.slot(0).device.sanitizing();
-        if sanitizing {
+        if pool.slot(0).device.sanitizing() {
             report.sanitizer = Some(SanitizerReport::default());
         }
         if let Some(ck) = &resume {
@@ -583,14 +543,16 @@ impl Runtime {
                 self.config.checkpoint_every.min(remaining)
             };
 
-            // The ladder for this chunk. `payload` only commits on
-            // success, so every rung replays from the last committed
-            // state and the chunk's sampled reference serves every rung.
-            let mut retries_here = 0u64;
+            // The ladder for this chunk: the same-device rung on the
+            // active slot, then the breaker and a migration, then the
+            // reference. `payload` only commits an accepted attempt, so
+            // every rung replays from the last committed state and the
+            // chunk's sampled reference serves every rung.
+            let steps = chunk as usize;
             let mut expected = None;
             loop {
                 let Some(slot_id) = active else {
-                    payload.reference_chunk(chunk as usize);
+                    payload.reference_chunk(steps);
                     if !report.degraded {
                         report.degraded = true;
                         report.events.push(JobEvent::DegradedToReference {
@@ -599,74 +561,64 @@ impl Runtime {
                     }
                     break;
                 };
-                let slot = pool.slot_mut(slot_id);
-                let counters_before = slot.device.counters;
-                let launches_before = slot.device.launch_stats;
-                let res = payload.try_chunk_on(
-                    &mut slot.device,
-                    chunk as usize,
-                    self.config.verify.as_ref(),
-                    &mut expected,
-                );
+                let device = &mut pool.slot_mut(slot_id).device;
+                let counters_before = device.counters;
+                let launches_before = device.launch_stats;
+                let (accepted, detected, retries) = each_dim!(&mut payload, |runner, grid| {
+                    if let Some(cfg) = &self.config.verify {
+                        expected.get_or_insert_with(|| runner.sampled_reference(grid, steps, cfg));
+                    }
+                    let attempts = runner.try_run_attempts(
+                        device,
+                        grid,
+                        steps,
+                        &mut WorkArrays::default(),
+                        expected.as_ref(),
+                        SAME_DEVICE_RETRIES,
+                    )?;
+                    let accepted = attempts.accepted.map(|out| *grid = out).is_some();
+                    (accepted, attempts.detected, attempts.retries)
+                });
                 // Attempted work is real work: accumulate its ledger and
                 // sanitizer findings whether or not the chunk committed.
-                report.counters += slot.device.counters.saturating_sub(&counters_before);
-                let launches = slot.device.launch_stats;
+                report.counters += device.counters.saturating_sub(&counters_before);
+                let launches = device.launch_stats;
                 report.launch_stats.merge(&LaunchStats {
                     kernel_launches: launches.kernel_launches - launches_before.kernel_launches,
                     total_blocks: launches.total_blocks - launches_before.total_blocks,
                 });
-                if sanitizing {
-                    if let Some(agg) = &mut report.sanitizer {
-                        agg.merge(slot.device.take_sanitizer_report());
-                    }
+                if let Some(agg) = &mut report.sanitizer {
+                    agg.merge(device.take_sanitizer_report());
                 }
-                match res {
-                    Ok(()) => {
-                        pool.record_success(slot_id);
-                        report.events.push(JobEvent::ChunkCompleted {
-                            device: slot_id,
-                            steps_done: steps_done + chunk,
-                        });
-                        break;
-                    }
-                    Err(e) if is_ladder_error(&e) => {
-                        report.faults_detected += 1;
-                        let dead = pool.slot(slot_id).device.is_dead();
-                        if !dead && retries_here < self.config.max_retries_per_device {
-                            retries_here += 1;
-                            report.retries += 1;
-                            pool.slot_mut(slot_id).device.advance_fault_epoch();
-                            report.events.push(JobEvent::RetriedSameDevice {
-                                device: slot_id,
-                                attempt: retries_here,
-                            });
-                            continue;
-                        }
-                        if pool.record_failure(slot_id) {
-                            report
-                                .events
-                                .push(JobEvent::BreakerOpened { device: slot_id });
-                        }
-                        match pool.pick_healthy(Some(slot_id)) {
-                            Some(next) => {
-                                report.migrations += 1;
-                                report.events.push(JobEvent::Migrated {
-                                    from: slot_id,
-                                    to: next,
-                                    at_step: steps_done,
-                                });
-                                active = Some(next);
-                                retries_here = 0;
-                                continue;
-                            }
-                            None => {
-                                active = None;
-                                continue;
-                            }
-                        }
-                    }
-                    Err(other) => return Err(other),
+                report.faults_detected += detected;
+                report.retries += retries;
+                report
+                    .events
+                    .extend((1..=retries).map(|attempt| JobEvent::RetriedSameDevice {
+                        device: slot_id,
+                        attempt,
+                    }));
+                if accepted {
+                    pool.record_success(slot_id);
+                    report.events.push(JobEvent::ChunkCompleted {
+                        device: slot_id,
+                        steps_done: steps_done + chunk,
+                    });
+                    break;
+                }
+                if pool.record_failure(slot_id) {
+                    report
+                        .events
+                        .push(JobEvent::BreakerOpened { device: slot_id });
+                }
+                active = pool.pick_healthy(Some(slot_id));
+                if let Some(next) = active {
+                    report.migrations += 1;
+                    report.events.push(JobEvent::Migrated {
+                        from: slot_id,
+                        to: next,
+                        at_step: steps_done,
+                    });
                 }
             }
 

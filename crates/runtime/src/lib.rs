@@ -19,9 +19,10 @@
 //!   rename; resume continues from the newest valid checkpoint, skipping
 //!   corrupt files with a warning.
 //!
-//! The degradation ladder per chunk: retry on the same device (epoch
-//! advance) → circuit-break and migrate to a healthy device, replaying
-//! from the last committed state → degrade to the CPU reference backend.
+//! The attempt ladder per chunk: retry on the same device (epoch
+//! advance; the rung a verified one-shot run climbs too) → circuit-break
+//! and migrate to a healthy device, replaying from the last committed
+//! state → degrade to the CPU reference backend.
 //! All of it is deterministic under seeded fault plans, which is what
 //! lets the chaos tests demand bit-identical results from interrupted ++
 //! resumed runs.

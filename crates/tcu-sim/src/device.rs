@@ -74,6 +74,10 @@ impl WriteLog {
         self.data.clear();
         self.scatter.clear();
     }
+
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty() && self.scatter.is_empty()
+    }
 }
 
 /// Recycled per-block working memory: shared-memory backing store,
@@ -154,17 +158,6 @@ impl Drop for TakenOutput<'_> {
             self.global.restore(id, data);
         }
     }
-}
-
-/// Per-block execution outcome.
-struct BlockOutcome {
-    counters: Counters,
-    writes: WriteLog,
-    /// Per-phase counter deltas and measured host nanoseconds (indexed by
-    /// [`Phase::index`]); populated only when tracing is enabled.
-    phases: Option<([Counters; PHASE_COUNT], [u64; PHASE_COUNT])>,
-    /// Sanitizer findings; populated only when sanitizing is enabled.
-    sanitizer: Option<SanitizerReport>,
 }
 
 /// The simulated device.
@@ -571,91 +564,93 @@ impl Device {
         // In-place blocks rarely log anything, so their arenas start empty.
         let write_hint = in_place.map_or(self.write_hint, |_| 0);
         let pool = &mut self.pool;
-        let mut outcomes: Vec<BlockOutcome> = (0..num_blocks)
-            .map(|block_id| {
-                let mut scratch = pool.blocks.pop().unwrap_or_default();
-                let writes = pool.take_log(write_hint);
-                let mut ctx = BlockCtx {
-                    config: cfg,
-                    global,
-                    output: out.map(|buf| LaunchOutput {
-                        buf,
-                        data: out_data.as_deref_mut(),
-                    }),
-                    shared: SharedMemory::recycle(
-                        std::mem::take(&mut scratch.shared),
+        let mut retiring = Vec::new();
+        // Each block's ledger, per-phase deltas, host time and sanitizer
+        // findings fold into the launch's totals as the block finishes,
+        // in block order; only a write log that holds writes waits for
+        // retirement, so an in-place launch keeps one log in use.
+        let counters = &mut self.counters;
+        let sanitizer = &mut self.sanitizer;
+        let mut per = [Counters::default(); PHASE_COUNT];
+        let mut wall = [0u64; PHASE_COUNT];
+        for block_id in 0..num_blocks {
+            let mut scratch = pool.blocks.pop().unwrap_or_default();
+            let writes = pool.take_log(write_hint);
+            let mut ctx = BlockCtx {
+                config: cfg,
+                global,
+                output: out.map(|buf| LaunchOutput {
+                    buf,
+                    data: out_data.as_deref_mut(),
+                }),
+                shared: SharedMemory::recycle(
+                    std::mem::take(&mut scratch.shared),
+                    shared_len,
+                    cfg.shared_banks as usize,
+                ),
+                counters: Counters::default(),
+                writes,
+                fault: fault_plan
+                    .map(|p| FaultState::new(p, fault_epoch, attempt, block_id as u64)),
+                phase_marks: tracing.then(|| {
+                    let mut marks = std::mem::take(&mut scratch.marks);
+                    marks.clear();
+                    // The block starts in Uncategorized.
+                    marks.push((Phase::Uncategorized, Counters::default(), Instant::now()));
+                    marks
+                }),
+                shadow: sanitize.then(|| {
+                    ShadowState::recycle(
+                        std::mem::take(&mut scratch.written),
+                        std::mem::take(&mut scratch.exempt),
                         shared_len,
-                        cfg.shared_banks as usize,
-                    ),
-                    counters: Counters::default(),
-                    writes,
-                    fault: fault_plan
-                        .map(|p| FaultState::new(p, fault_epoch, attempt, block_id as u64)),
-                    phase_marks: tracing.then(|| {
-                        let mut marks = std::mem::take(&mut scratch.marks);
-                        marks.clear();
-                        // The block starts in Uncategorized.
-                        marks.push((Phase::Uncategorized, Counters::default(), Instant::now()));
-                        marks
-                    }),
-                    shadow: sanitize.then(|| {
-                        ShadowState::recycle(
-                            std::mem::take(&mut scratch.written),
-                            std::mem::take(&mut scratch.exempt),
-                            shared_len,
-                            attempt,
-                            block_id,
-                        )
-                    }),
-                    frag_degrees: FragDegreeCache::default(),
-                };
-                kernel(block_id, &mut ctx);
-                let BlockCtx {
-                    shared,
-                    counters,
-                    writes,
-                    phase_marks,
-                    shadow,
-                    ..
-                } = ctx;
-                let phases = phase_marks.map(|marks| {
-                    // Fold the switch log into per-phase deltas and host
-                    // time. Work before the first explicit switch is
-                    // Uncategorized; counters are monotone, so the deltas
-                    // sum exactly to the block's final ledger.
-                    let end = (Phase::Uncategorized, counters, Instant::now());
-                    let mut per = [Counters::default(); PHASE_COUNT];
-                    let mut wall = [0u64; PHASE_COUNT];
-                    for (&(phase, snap, at), &(_, next_snap, next_at)) in
-                        marks.iter().zip(marks.iter().skip(1).chain([&end]))
-                    {
-                        per[phase.index()] += next_snap.saturating_sub(&snap);
-                        wall[phase.index()] += (next_at - at).as_nanos() as u64;
-                    }
-                    scratch.marks = marks;
-                    (per, wall)
-                });
-                let sanitizer = shadow.map(|shadow| {
-                    let (report, written, exempt) = shadow.into_parts();
-                    scratch.written = written;
-                    scratch.exempt = exempt;
-                    report
-                });
-                scratch.shared = shared.into_data();
-                pool.blocks.push(scratch);
-                BlockOutcome {
-                    counters,
-                    writes,
-                    phases,
-                    sanitizer,
+                        attempt,
+                        block_id,
+                    )
+                }),
+                frag_degrees: FragDegreeCache::default(),
+            };
+            kernel(block_id, &mut ctx);
+            let BlockCtx {
+                shared,
+                counters: block,
+                writes,
+                phase_marks,
+                shadow,
+                ..
+            } = ctx;
+            *counters += block;
+            if let Some(marks) = phase_marks {
+                // Fold the switch log into per-phase deltas and host
+                // time. Work before the first explicit switch is
+                // Uncategorized; counters are monotone, so the deltas
+                // sum exactly to the block's final ledger.
+                let end = (Phase::Uncategorized, block, Instant::now());
+                for (&(phase, snap, at), &(_, next_snap, next_at)) in
+                    marks.iter().zip(marks.iter().skip(1).chain([&end]))
+                {
+                    per[phase.index()] += next_snap.saturating_sub(&snap);
+                    wall[phase.index()] += (next_at - at).as_nanos() as u64;
                 }
-            })
-            .collect();
+                scratch.marks = marks;
+            }
+            if let Some(shadow) = shadow {
+                let (report, written, exempt) = shadow.into_parts();
+                scratch.written = written;
+                scratch.exempt = exempt;
+                sanitizer.merge(report);
+            }
+            scratch.shared = shared.into_data();
+            pool.blocks.push(scratch);
+            if writes.is_empty() {
+                pool.put_log(writes);
+            } else {
+                retiring.push(writes);
+            }
+        }
 
         drop(taken);
-        for outcome in &mut outcomes {
-            self.counters += outcome.counters;
-            let log = &outcome.writes;
+        for log in retiring {
             // Each run is a strictly consecutive address range, retired
             // with one slice copy.
             for run in &log.runs {
@@ -663,22 +658,12 @@ impl Device {
                     .apply_run(run.buf, run.start, &log.data[run.off..run.off + run.len]);
             }
             self.global.apply_writes(&log.scatter);
-            if let Some(report) = outcome.sanitizer.take() {
-                self.sanitizer.merge(report);
-            }
+            self.pool.put_log(log);
         }
         self.launch_stats.kernel_launches += 1;
         self.launch_stats.total_blocks += num_blocks as u64;
 
         if let Some(t0) = wall_start {
-            let mut per = [Counters::default(); PHASE_COUNT];
-            let mut wall = [0u64; PHASE_COUNT];
-            for (counters, ns) in outcomes.iter().filter_map(|o| o.phases.as_ref()) {
-                for i in 0..PHASE_COUNT {
-                    per[i] += counters[i];
-                    wall[i] += ns[i];
-                }
-            }
             let launch_ns = t0.elapsed().as_nanos() as u64;
             let model = CostModel::new(self.config.clone());
             let uncategorized = Phase::Uncategorized.index();
@@ -706,9 +691,6 @@ impl Device {
                 modeled_sec: model.span_time(&per[uncategorized]),
                 wall_ns: launch_ns.saturating_sub(measured),
             });
-        }
-        for outcome in outcomes {
-            self.pool.put_log(outcome.writes);
         }
         Ok(())
     }
