@@ -118,6 +118,26 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("3d-heat-3d-x2/V/dirichlet", 0x5789f9860ba3980b, 0xc3f1e7de82dfe5ae),
     ("3d-box-r2/V/periodic", 0x18d41e0989ae0a8d, 0xd3cc23f1377dd7e7),
     ("3d-heat-3d-x2/V/periodic", 0x72f4e024f52227fc, 0xed15ff4e3f80a85d),
+    ("1d-1d5p/I/dirichlet", 0xe83d0ef8dff557d7, 0x7c16da535ba088ce),
+    ("1d-1d5p/I/periodic", 0x4cd493510e49445a, 0x91ed21ee5af7d4e3),
+    ("1d-1d5p/II/dirichlet", 0xe83d0ef8dff557d7, 0xb52adb60af281360),
+    ("1d-1d5p/II/periodic", 0x4cd493510e49445a, 0xfe0cab8f123c55e8),
+    ("1d-1d5p/III/dirichlet", 0xe83d0ef8dff557d7, 0x835984a42c637c8b),
+    ("1d-1d5p/III/periodic", 0x4cd493510e49445a, 0x42757c8a4aac0593),
+    ("1d-1d5p/IV/dirichlet", 0xe83d0ef8dff557d7, 0xbfbf8e9577383a04),
+    ("1d-1d5p/IV/periodic", 0x4cd493510e49445a, 0x7e9376bb11f7431c),
+    ("1d-1d5p/V/dirichlet", 0xe83d0ef8dff557d7, 0x232ee6834ce7601e),
+    ("1d-1d5p/V/periodic", 0x4cd493510e49445a, 0xe2021ead2a281906),
+    ("2d-wide/I/dirichlet", 0x7bc5d41ef7380323, 0x28934021bf7e2a9f),
+    ("3d-wide/I/dirichlet", 0x29e453f79de9b5ed, 0x93fffcfd6c1acfd5),
+    ("2d-wide/II/dirichlet", 0x7bc5d41ef7380323, 0xe67deb3cb8a953e9),
+    ("3d-wide/II/dirichlet", 0x29e453f79de9b5ed, 0xf80a77c22bec7e46),
+    ("2d-wide/III/dirichlet", 0x817c856cbee8e9ad, 0x6d6fb82f972dc330),
+    ("3d-wide/III/dirichlet", 0x65243d80760b0d24, 0x824eba52d48887bb),
+    ("2d-wide/IV/dirichlet", 0x817c856cbee8e9ad, 0x5b8ba40a1298e738),
+    ("3d-wide/IV/dirichlet", 0x65243d80760b0d24, 0x9d3fcdff379e52a6),
+    ("2d-wide/V/dirichlet", 0x817c856cbee8e9ad, 0xfb7d86832dc39ec3),
+    ("3d-wide/V/dirichlet", 0x65243d80760b0d24, 0x7e4f7795c949505f),
 ];
 
 /// `(case, crc64 of the output bits, of the ledger plus the report's
@@ -141,6 +161,11 @@ const INSTRUMENTED: &[(&str, u64, u64, u64, u64)] = &[
     ("2d/V", 0x1a0b62bc961fa92f, 0xe732367e71369cef, 0xc6fa2ea0d46241a5, 0x4db6d7289b0da3ea),
     ("3d/V", 0xac7ef547aa1cab89, 0x5948b26e3dcc8270, 0x9e50fa7ce0acddc1, 0x8eec7e75a3105b4a),
     ("2d-heat-2d/verified", 0x6510ec540e53119b, 0xbae9a19ba630a393, 0x85747f5cf12065b2, 0x0000000000000000),
+    ("1d5p/I", 0x67e1aa9a736d318f, 0x0a79df9db943265a, 0xe0ced4e07413d702, 0xa59853a35e1097b6),
+    ("1d5p/II", 0x4eceadfe0f2cbdee, 0xdb30f04384b81f5d, 0x1e32771473c2a22f, 0xe3259b4540c464c3),
+    ("1d5p/III", 0xb3c8aa4f10ed074b, 0xf7d7dc9f9c685c70, 0xfb9cfc536c6510d0, 0x7651c90c95dc8449),
+    ("1d5p/IV", 0xfc68c521cdbbf1de, 0x39fa7ad87bb05441, 0xdbb7180140da4df0, 0x0bfb42535e60d220),
+    ("1d5p/V", 0x42f88ba7ba86d6bc, 0x6f61cddbb933db6f, 0xd1b8d7e80f34ce76, 0x9023179c3a4d71af),
 ];
 
 fn digest(padded: &[f64], counters: &Counters, launch: &LaunchStats) -> (u64, u64) {
@@ -273,6 +298,59 @@ fn nk5_digests() -> Vec<(String, u64, u64)> {
                 out.push((format!("3d-{name}/{}/{bname}", tag(label)), a, b));
             }
         }
+    }
+    out
+}
+
+/// 1D5P (`n_k = 5`, unfused) on 10,000 cells: a 10,092-column extended
+/// array, so variant I's transform runs more than one block, and a
+/// 168-group block whose 48-output bands and 32-lane CUDA-core groups
+/// split the row differently.
+fn oned5p_digests() -> Vec<(String, u64, u64)> {
+    let mut out = Vec::new();
+    for (label, variant) in VariantConfig::breakdown() {
+        for (bname, boundary) in boundaries() {
+            let kernel = Shape::OneD5P.kernel1d().unwrap();
+            let cs = ConvStencil1D::try_new(kernel.clone())
+                .unwrap()
+                .with_variant(variant)
+                .with_boundary(boundary);
+            assert_eq!(cs.fused_kernel().nk(), 5, "1D5P must run unfused");
+            let mut grid = Grid1D::new(10_000, kernel.radius());
+            grid.fill_random(15);
+            let (got, r) = cs.try_run(&grid, 4).unwrap();
+            let (a, b) = digest(got.padded(), &r.counters, &r.launch_stats);
+            out.push((format!("1d-1d5p/{}/{bname}", tag(label)), a, b));
+        }
+    }
+    out
+}
+
+/// Plane plans where one block's tile covers every extended row (32 rows
+/// in 2D, 8 per plane in 3D) and whose extended rows are wider than 4096
+/// columns: variant I's staging and transform geometry at its edges.
+fn wide_row_digests() -> Vec<(String, u64, u64)> {
+    let mut out = Vec::new();
+    for (label, variant) in VariantConfig::breakdown() {
+        let kernel = Shape::Box2D9P.kernel2d().unwrap();
+        let cs = ConvStencil2D::try_new(kernel.clone())
+            .unwrap()
+            .with_variant(variant);
+        let mut grid = Grid2D::new(32, 4200, kernel.radius());
+        grid.fill_random(16);
+        let (got, r) = cs.try_run(&grid, 4).unwrap();
+        let (a, b) = digest(got.padded(), &r.counters, &r.launch_stats);
+        out.push((format!("2d-wide/{}/dirichlet", tag(label)), a, b));
+
+        let kernel = Shape::Box3D27P.kernel3d().unwrap();
+        let cs = ConvStencil3D::try_new(kernel.clone())
+            .unwrap()
+            .with_variant(variant);
+        let mut grid = Grid3D::new(2, 8, 4100, kernel.radius());
+        grid.fill_random(17);
+        let (got, r) = cs.try_run(&grid, 2).unwrap();
+        let (a, b) = digest(got.padded(), &r.counters, &r.launch_stats);
+        out.push((format!("3d-wide/{}/dirichlet", tag(label)), a, b));
     }
     out
 }
@@ -416,7 +494,8 @@ fn instrumented<K: Stencil>(
 }
 
 /// Every Fig. 6 variant in 1D, 2D and 3D, then a traced verified Heat-2D
-/// run whose injected faults force retries.
+/// run whose injected faults force retries, then every variant of 1D5P on
+/// 10,000 cells.
 fn instrumented_digests() -> Vec<InstrumentedRow> {
     let mut out = Vec::new();
     for (label, variant) in VariantConfig::breakdown() {
@@ -451,6 +530,13 @@ fn instrumented_digests() -> Vec<InstrumentedRow> {
         got.padded(),
         &r,
     ));
+    for (label, variant) in VariantConfig::breakdown() {
+        let kernel = Shape::OneD5P.kernel1d().unwrap();
+        let mut grid = Grid1D::new(10_000, kernel.radius());
+        grid.fill_random(19);
+        let case = format!("1d5p/{}", tag(label));
+        out.push(instrumented(case, kernel, &grid, variant, 3));
+    }
     out
 }
 
@@ -479,6 +565,8 @@ fn outputs_and_ledgers_match_the_golden_table() {
     got.extend(reference_digests());
     got.push(resumed_job_digest());
     got.extend(nk5_digests());
+    got.extend(oned5p_digests());
+    got.extend(wide_row_digests());
     let table: String = got
         .iter()
         .map(|(name, a, b)| format!("    ({name:?}, {a:#018x}, {b:#018x}),\n"))
