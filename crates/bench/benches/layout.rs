@@ -34,7 +34,7 @@ fn bench_planning(c: &mut Criterion) {
     });
     group.bench_function("weight_matrices_nk7", |b| {
         let k = Kernel2D::box_uniform(3);
-        b.iter(|| WeightMatrices::from_kernel2d(black_box(&k)))
+        b.iter(|| WeightMatrices::new(k.nk(), black_box(k.weights())))
     });
     group.finish();
 }

@@ -17,7 +17,7 @@ fn bench_host_tessellation(c: &mut Criterion) {
     let mut padded = vec![0.0; prows * pcols];
     fill_pseudorandom(&mut padded, 2);
     let (a, b2) = build_2d(&padded, prows, pcols, 7);
-    let w = WeightMatrices::from_kernel2d(&kernel);
+    let w = WeightMatrices::new(kernel.nk(), kernel.weights());
     c.bench_function("host_dual_tessellation_64x128", |b| {
         b.iter(|| host_convstencil_2d(black_box(&a), black_box(&b2), &w, prows, pcols))
     });

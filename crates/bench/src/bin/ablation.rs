@@ -67,7 +67,7 @@ fn main() {
     for br in [8usize, 16, 32, 64] {
         let variant = VariantConfig::conv_stencil();
         let plan =
-            Plan2D::try_with_block(size, size, 7, br, 8, variant).expect("a valid block shape");
+            Plan2D::try_with_block(size, size, 7, 7, br, 8, variant).expect("a valid block shape");
         if plan.layout.total * 8 > 164 * 1024 {
             rows.push(vec![
                 br.to_string(),

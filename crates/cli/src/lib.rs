@@ -359,7 +359,7 @@ fn one_shot<K: Stencil>(args: &CliArgs, caps: &[usize]) -> Result<(f64, bool), C
 /// corrupted first — the negative control demonstrating rejection.
 pub fn try_run_check(args: &CliArgs) -> Result<bool, ConvStencilError> {
     match args.shape.dim() {
-        1 => check::<Kernel1D>(args, |exec| exec.lut_mut()[0] = [1, 1]),
+        1 => check::<Kernel1D>(args, |exec| exec.lut_mut().set(0, 0, [1, 1])),
         2 => check::<Kernel2D>(args, |exec| exec.lut_mut().set(0, 0, [1, 1])),
         _ => check::<Kernel3D>(args, |exec| exec.lut_mut().set(0, 0, [1, 1])),
     }

@@ -38,18 +38,19 @@ impl Exec2D {
         plan: Plan2D,
         variant: VariantConfig,
     ) -> Result<Self, ConvStencilError> {
-        if plan.nk != kernel.nk() {
+        if (plan.nk, plan.kernel_rows) != (kernel.nk(), kernel.nk()) {
             return Err(ConvStencilError::PlanInvariant {
-                reason: format!("plan n_k {} != kernel n_k {}", plan.nk, kernel.nk()),
+                reason: format!(
+                    "plan n_k {} (kernel height {}) != kernel n_k {}",
+                    plan.nk,
+                    plan.kernel_rows,
+                    kernel.nk()
+                ),
             });
         }
         // One kernel plane, on Tensor Cores exactly when the variant uses
         // them.
-        let plane = if variant.use_tcu {
-            PlaneKind::mma(kernel)
-        } else {
-            PlaneKind::scalar(kernel)
-        };
+        let plane = PlaneKind::of(variant.use_tcu, kernel.nk(), kernel.weights());
         let stack = PlaneStack::try_new(&plan, variant, 1, vec![plane], 1)?;
         Ok(Self { plan, stack })
     }
@@ -93,23 +94,25 @@ impl Exec2D {
     }
 }
 
-/// Simulated periodic halo exchange on an extended 2D array: two device
-/// kernels (column wrap within interior rows, then full-row wrap so the
-/// corners inherit the wrapped columns). Counted like any other kernel —
-/// periodic codes pay their exchange.
+/// Simulated periodic halo exchange on an extended 2D array (or the one
+/// row of a 1D array): two device kernels (column wrap within interior
+/// rows, then full-row wrap so the corners inherit the wrapped columns).
+/// Counted like any other kernel — periodic codes pay their exchange. A
+/// kernel of row radius 0 (1D) has no rows to wrap: the row wrap
+/// launches nothing, and only the columns must cover the radius.
 pub fn try_halo_exchange_2d(
     dev: &mut Device,
     ext: BufferId,
     plan: &Plan2D,
 ) -> Result<(), ConvStencilError> {
-    let (m, n, r) = (plan.m, plan.n, plan.radius);
-    if m < r || n < r {
+    let (m, n, r, lr) = (plan.m, plan.n, plan.radius, plan.lr);
+    if m < lr || n < r {
         return Err(ConvStencilError::InteriorTooSmall {
-            interior: m.min(n),
+            interior: if lr > 0 { m.min(n) } else { n },
             radius: r,
         });
     }
-    let (lr, lc, cols) = (plan.lr, plan.lc, plan.ext_cols);
+    let (lc, cols) = (plan.lc, plan.ext_cols);
     // Kernel 1: column wrap for every interior row.
     let rows_per_block = 64usize;
     dev.set_write_hint(rows_per_block * 2 * r);
@@ -127,10 +130,13 @@ pub fn try_halo_exchange_2d(
             ctx.gmem_write_span(ext, row + lc + n, &right);
         }
     })?;
-    // Kernel 2: full-row wrap for the r halo rows on each side (one block
+    // Kernel 2: full-row wrap for the lr halo rows on each side (one block
     // per wrapped row pair).
+    if lr == 0 {
+        return Ok(());
+    }
     dev.set_write_hint(2 * cols);
-    dev.try_launch(r, 64, |bid, ctx| {
+    dev.try_launch(lr, 64, |bid, ctx| {
         ctx.phase(Phase::HaloExchange);
         let i = bid;
         let mut vals = vec![0.0f64; cols];

@@ -62,8 +62,10 @@ impl Exec3D {
                 let plane = kernel.plane(dz as isize - radius as isize);
                 match plane.points() {
                     0 => PlaneKind::Empty,
-                    pts if pts <= SMALL_PLANE_TAPS || !variant.use_tcu => PlaneKind::scalar(&plane),
-                    _ => PlaneKind::mma(&plane),
+                    pts if pts <= SMALL_PLANE_TAPS || !variant.use_tcu => {
+                        PlaneKind::scalar(nk, plane.weights())
+                    }
+                    _ => PlaneKind::mma(nk, plane.weights()),
                 }
             })
             .collect();

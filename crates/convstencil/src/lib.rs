@@ -50,7 +50,5 @@ pub use plan::{Plan2D, ScatterLut};
 pub use profile::{PhaseSummary, Profile};
 pub use stencil::{Stencil, WorkArrays};
 pub use variants::VariantConfig;
-pub use verify_plan::{
-    verify_layout_2d, verify_lut_1d, verify_lut_2d, verify_plan_1d, verify_weights,
-};
+pub use verify_plan::{verify_layout_2d, verify_lut_2d, verify_weights};
 pub use weights::WeightMatrices;

@@ -7,6 +7,10 @@
 //! 32 output rows x 8 column groups (= 64 output columns for `n_k = 7`),
 //! which makes the stencil2row A tile exactly `8 x 266` doubles for
 //! Box-2D49P — the very matrix the paper's Fig. 5 pads to 268 columns.
+//!
+//! One plan type serves every dimension: its kernel height `h` is `n_k`
+//! for 2D stencils and 3D kernel planes, and 1 for 1D, which plans as one
+//! output row of a height-1 kernel (§4.1).
 
 use crate::error::ConvStencilError;
 use crate::variants::VariantConfig;
@@ -44,19 +48,20 @@ pub struct SharedLayout {
 
 impl SharedLayout {
     /// Compute the layout for a block of `block_rows` output rows and
-    /// `block_groups` column groups with kernel edge `nk` and padded
-    /// weight-row count `krows`.
+    /// `block_groups` column groups with kernel edge `nk`, kernel height
+    /// `kernel_rows` and padded weight-row count `krows`.
     pub fn new(
         nk: usize,
+        kernel_rows: usize,
         block_rows: usize,
         block_groups: usize,
         krows: usize,
         variant: VariantConfig,
     ) -> Self {
         // A tile row holds nk elements per input row over
-        // block_rows + nk - 1 input rows (266 for Box-2D49P's 32-row
-        // block — the paper's Fig. 5 example).
-        let raw_cols = nk * (block_rows + nk - 1);
+        // block_rows + kernel_rows - 1 input rows (266 for Box-2D49P's
+        // 32-row block — the paper's Fig. 5 example; nk in 1D).
+        let raw_cols = nk * (block_rows + kernel_rows - 1);
         let pad = if variant.padding {
             let p = conflict_free_pad(raw_cols, 32);
             if variant.dirty_bits_lut && p == 0 {
@@ -112,11 +117,15 @@ impl SharedLayout {
     }
 }
 
-/// Full plan for one 2D ConvStencil (or one 3D plane) pipeline.
+/// Full plan for one 2D ConvStencil pipeline, one 3D plane, or the one
+/// row of a 1D pipeline.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Plan2D {
     pub nk: usize,
+    /// Column radius `(n_k - 1) / 2`.
     pub radius: usize,
+    /// Kernel rows `h`: `n_k` for 2D and 3D planes, 1 for 1D.
+    pub kernel_rows: usize,
     /// Output interior rows / columns.
     pub m: usize,
     pub n: usize,
@@ -131,7 +140,8 @@ pub struct Plan2D {
     /// Extended device array geometry.
     pub ext_rows: usize,
     pub ext_cols: usize,
-    /// Row/column offsets of interior (0,0) inside the extended array.
+    /// Row/column offsets of interior (0,0) inside the extended array
+    /// (`lr` is the kernel's row radius `(h - 1) / 2`).
     pub lr: usize,
     pub lc: usize,
     /// Input columns a block logically needs.
@@ -142,7 +152,7 @@ pub struct Plan2D {
     pub span_aligned: usize,
     /// Shared layout.
     pub layout: SharedLayout,
-    /// Padded weight-matrix rows (`4⌈n_k²/4⌉`).
+    /// Padded weight-matrix rows (`4⌈h·n_k/4⌉`).
     pub krows: usize,
 }
 
@@ -154,7 +164,7 @@ impl Plan2D {
         nk: usize,
         variant: VariantConfig,
     ) -> Result<Self, ConvStencilError> {
-        Self::try_with_block(m, n, nk, 32, 8, variant)
+        Self::try_with_block(m, n, nk, nk, 32, 8, variant)
     }
 
     /// Plan with the paper's 3D per-plane block shape: 8 rows x about 64
@@ -170,21 +180,28 @@ impl Plan2D {
             return Err(ConvStencilError::UnsupportedNk { nk });
         }
         let groups = 64 / (nk + 1) / 8 * 8;
-        Self::try_with_block(m, n, nk, 8, groups, variant)
+        Self::try_with_block(m, n, nk, nk, 8, groups, variant)
     }
 
-    /// Plan with an explicit block shape, validating the kernel edge,
-    /// grid extents, block shape, and layout invariants.
+    /// Plan with an explicit kernel height (`kernel_rows`, odd and at
+    /// most `nk`) and block shape, validating the kernel edge, grid
+    /// extents, block shape, and layout invariants.
     pub fn try_with_block(
         m: usize,
         n: usize,
         nk: usize,
+        kernel_rows: usize,
         block_rows: usize,
         block_groups: usize,
         variant: VariantConfig,
     ) -> Result<Self, ConvStencilError> {
         if !(nk % 2 == 1 && (3..=7).contains(&nk)) {
             return Err(ConvStencilError::UnsupportedNk { nk });
+        }
+        if kernel_rows.is_multiple_of(2) || kernel_rows > nk {
+            return Err(ConvStencilError::PlanInvariant {
+                reason: format!("kernel height {kernel_rows} is not odd and at most n_k {nk}"),
+            });
         }
         if m == 0 || n == 0 {
             return Err(ConvStencilError::ZeroSizedGrid { dims: vec![m, n] });
@@ -201,14 +218,14 @@ impl Plan2D {
             });
         }
         let radius = (nk - 1) / 2;
-        let krows = (nk * nk).div_ceil(FRAG_K) * FRAG_K;
+        let krows = (kernel_rows * nk).div_ceil(FRAG_K) * FRAG_K;
         let groups_needed = n.div_ceil(nk + 1);
         let blocks_g = groups_needed.div_ceil(block_groups);
         let blocks_x = m.div_ceil(block_rows);
-        let lr = radius;
+        let lr = (kernel_rows - 1) / 2;
         let lc = 4; // sector-aligned interior column offset (>= radius)
         let covered = blocks_g * block_groups * (nk + 1);
-        let ext_rows = m + nk - 1;
+        let ext_rows = m + kernel_rows - 1;
         let ext_cols = (lc + covered + nk).div_ceil(4) * 4;
         let span = block_groups * (nk + 1) + nk - 1;
         // Block bg reads ext columns starting at lc - radius + bg·BG(nk+1);
@@ -218,7 +235,7 @@ impl Plan2D {
         let aligned_first = first & !3;
         let pre = first - aligned_first;
         let span_aligned = (pre + span).div_ceil(4) * 4;
-        let layout = SharedLayout::new(nk, block_rows, block_groups, krows, variant);
+        let layout = SharedLayout::new(nk, kernel_rows, block_rows, block_groups, krows, variant);
         if variant.dirty_bits_lut && layout.pad == 0 {
             return Err(ConvStencilError::PlanInvariant {
                 reason: "dirty bits need padding (dirty_bits_lut requires the padding \
@@ -229,6 +246,7 @@ impl Plan2D {
         Ok(Self {
             nk,
             radius,
+            kernel_rows,
             m,
             n,
             block_rows,
@@ -250,6 +268,11 @@ impl Plan2D {
     /// Total thread blocks per kernel launch.
     pub fn num_blocks(&self) -> usize {
         self.blocks_x * self.blocks_g
+    }
+
+    /// Input rows the tiles of a full block stage: `block_rows + h - 1`.
+    pub fn tile_rows(&self) -> usize {
+        self.block_rows + self.kernel_rows - 1
     }
 
     /// First extended-array column block `bg` reads (sector-aligned).
@@ -303,12 +326,12 @@ impl Plan2D {
 
     /// Write the extended plane `ext` from a padded plane with `pcols`
     /// columns and halo `h`, one row slice at a time: ext row `r` holds
-    /// padded row `r + h - radius`, and ext column `c` padded column
+    /// padded row `r + h - lr`, and ext column `c` padded column
     /// `c + h - lc`. Cells outside the padded plane are zeroed, so every
     /// element of `ext` is written.
     pub(crate) fn fill_ext_plane(&self, ext: &mut [f64], padded: &[f64], pcols: usize, h: usize) {
         for (r, ext_row) in ext.chunks_exact_mut(self.ext_cols).enumerate() {
-            let px = r + h - self.radius;
+            let px = r + h - self.lr;
             match padded.get(px * pcols..(px + 1) * pcols) {
                 Some(row) => copy_aligned(ext_row, self.lc, row, h),
                 None => ext_row.fill(0.0),
@@ -341,7 +364,7 @@ impl Plan2D {
     /// slots instead of being skipped — the scatter becomes branch-free.
     pub fn build_scatter_lut(&self, variant: VariantConfig) -> ScatterLut {
         let nk = self.nk;
-        let tile_rows = self.block_rows + nk - 1;
+        let tile_rows = self.tile_rows();
         let lay = &self.layout;
         let mut entries = vec![[LUT_SKIP, LUT_SKIP]; tile_rows * self.span_aligned];
         for t in 0..tile_rows {
@@ -559,7 +582,7 @@ mod tests {
         let lut = plan.build_scatter_lut(v5());
         let nk = plan.nk;
         let lay = &plan.layout;
-        for t in 0..(plan.block_rows + nk - 1) {
+        for t in 0..plan.tile_rows() {
             for i in 0..plan.span_aligned {
                 let [a, b] = lut.get(t, i);
                 let c = i as isize - plan.pre as isize;
@@ -593,9 +616,8 @@ mod tests {
     fn branch_variant_lut_skips_instead_of_dirtying() {
         let plan = Plan2D::try_new_2d(64, 128, 7, VariantConfig::implicit_tcu()).unwrap();
         let lut = plan.build_scatter_lut(VariantConfig::implicit_tcu());
-        let nk = plan.nk;
         let mut skips = 0;
-        for t in 0..(plan.block_rows + nk - 1) {
+        for t in 0..plan.tile_rows() {
             for i in 0..plan.span_aligned {
                 let [a, b] = lut.get(t, i);
                 if a == LUT_SKIP {
@@ -613,7 +635,7 @@ mod tests {
     fn lut_never_writes_weights_region() {
         let plan = Plan2D::try_new_2d(96, 96, 5, v5()).unwrap();
         let lut = plan.build_scatter_lut(v5());
-        for t in 0..(plan.block_rows + plan.nk - 1) {
+        for t in 0..plan.tile_rows() {
             for i in 0..plan.span_aligned {
                 for addr in lut.get(t, i) {
                     assert!((addr as usize) < plan.layout.wa_off);
@@ -649,9 +671,9 @@ mod tests {
             Plan2D::try_new_2d(0, 64, 3, v5()),
             Err(ConvStencilError::ZeroSizedGrid { dims: vec![0, 64] })
         );
-        for (rows, groups) in [(0, 8), (8, 10)] {
+        for (kernel_rows, rows, groups) in [(5, 0, 8), (5, 8, 10), (2, 8, 8), (7, 8, 8)] {
             assert!(matches!(
-                Plan2D::try_with_block(64, 64, 5, rows, groups, v5()),
+                Plan2D::try_with_block(64, 64, 5, kernel_rows, rows, groups, v5()),
                 Err(ConvStencilError::PlanInvariant { .. })
             ));
         }

@@ -1,10 +1,10 @@
-//! The plane-stack core of the 2D and 3D pipelines (paper §4.2), and the
-//! tile toolkit the 1D pipeline shares with it.
+//! The plane-stack core of every pipeline (paper §4.1–4.2).
 //!
 //! A 3D stencil splits into one 2D stencil per kernel z-plane, and the
-//! plane results are summed; a 2D stencil is the one-plane case.
-//! [`PlaneStack`] runs such a stack of kernel planes over `d` output
-//! planes of one in-plane [`Plan2D`]. One *application* (one launch in
+//! plane results are summed; a 2D stencil is the one-plane case, and a 1D
+//! stencil the one-plane case of a kernel of height 1 over a one-row
+//! plane. [`PlaneStack`] runs such a stack of kernel planes over `d`
+//! output planes of one in-plane [`Plan2D`]. One *application* (one launch in
 //! the implicit variants, two in the explicit variant I) advances the
 //! grid by one (possibly fused) kernel step:
 //!
@@ -19,14 +19,17 @@
 //!    matrices of every input plane in global memory with a transform
 //!    kernel, then copies the block's rows from them.
 //! 2. **Compute** — per output row and 8-group band, the MMA planes run
-//!    their dual tessellations (`2⌈n_k²/4⌉` `m8n8k4` MMAs each, against
+//!    their dual tessellations (`2⌈h·n_k/4⌉` `m8n8k4` MMAs each, against
 //!    register-resident weight fragments staged once per block) into one
 //!    accumulator. CUDA-core planes — the small off-centre planes of star
 //!    kernels (§4.2), and every plane of variants I/II — add their taps
-//!    over the same shared tiles, 32 lanes at a time.
-//! 3. **Write-back** — each band's `8(n_k+1)` contiguous outputs, clipped
-//!    at column `n`, go to the output plane as one coalesced span, written
-//!    in place (see [`crate::epilogue`]).
+//!    over the same shared tiles, 32 lanes at a time: per band, or across
+//!    the block's whole output row when the stack is a single CUDA-core
+//!    plane.
+//! 3. **Write-back** — each band's `8(n_k+1)` contiguous outputs (each
+//!    32-lane group's, for a single CUDA-core plane), clipped at column
+//!    `n`, go to the output plane as one coalesced span, written in place
+//!    (see [`crate::epilogue`]).
 
 use crate::epilogue::write_row;
 use crate::error::ConvStencilError;
@@ -37,12 +40,18 @@ use crate::stencil2row::{map_a, map_b};
 use crate::variants::VariantConfig;
 use crate::verify_plan;
 use crate::weights::{StagedWeights, WeightMatrices};
-use stencil_core::Kernel2D;
 use tcu_sim::{BlockCtx, BufferId, Device, FragAcc, FragB, Phase, INACTIVE};
 
 /// Stack-buffer capacity for one tessellation band's `8(n_k+1)` outputs
 /// (shared-memory capacity keeps `n_k` far below 31 in any valid plan).
 const MAX_BAND_F64: usize = 256;
+
+/// Extended rows one variant-I transform block covers.
+const TRANSFORM_ROWS: usize = 32;
+
+/// Extended columns one variant-I transform block covers of a plane that
+/// is a single extended row.
+const TRANSFORM_COLS: usize = 4096;
 
 /// Most kernel planes a stack has: the largest supported kernel edge.
 const MAX_PLANES: usize = 7;
@@ -62,23 +71,31 @@ pub(crate) enum PlaneKind {
 }
 
 impl PlaneKind {
-    /// The plane's non-zero weights as CUDA-core taps, row-major.
-    pub(crate) fn scalar(plane: &Kernel2D) -> Self {
-        let nk = plane.nk();
-        let mut taps = Vec::new();
-        for kx in 0..nk {
-            for ky in 0..nk {
-                let w = plane.weight_tl(kx, ky);
-                if w != 0.0 {
-                    taps.push((kx, ky, w));
-                }
-            }
-        }
+    /// The plane's non-zero weights as CUDA-core taps, row-major; `taps`
+    /// holds the plane's rows of `nk` weights, top-left first.
+    pub(crate) fn scalar(nk: usize, taps: &[f64]) -> Self {
+        let taps = taps
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w != 0.0)
+            .map(|(i, &w)| (i / nk, i % nk, w))
+            .collect();
         Self::Scalar(taps)
     }
 
-    pub(crate) fn mma(plane: &Kernel2D) -> Self {
-        Self::Mma(WeightMatrices::from_kernel2d(plane))
+    /// The plane as dual-tessellation weight matrices (`taps` as for
+    /// [`PlaneKind::scalar`]).
+    pub(crate) fn mma(nk: usize, taps: &[f64]) -> Self {
+        Self::Mma(WeightMatrices::new(nk, taps))
+    }
+
+    /// The plane on Tensor Cores when `use_tcu`, else on CUDA cores.
+    pub(crate) fn of(use_tcu: bool, nk: usize, taps: &[f64]) -> Self {
+        if use_tcu {
+            Self::mma(nk, taps)
+        } else {
+            Self::scalar(nk, taps)
+        }
     }
 }
 
@@ -115,6 +132,11 @@ pub(crate) struct PlaneStack {
     /// Offset of plane `dz`'s weight matrices (MMA planes only).
     weight_off: Vec<usize>,
     shared_total: usize,
+    /// Outputs of a block row one compute pass completes and writes: an
+    /// 8-group band, where the MMA accumulator and the planes' sums meet;
+    /// or, when the stack is one CUDA-core plane, one 32-lane group, so
+    /// its lane groups run across the whole row.
+    pass_width: usize,
     /// Input column -> (in A, group, offset) for the CUDA-core taps.
     colmap: Vec<(bool, usize, usize)>,
 }
@@ -159,9 +181,13 @@ impl PlaneStack {
             plan.m,
             plan.n,
             plan.nk,
-            plan.block_rows + plan.nk - 1,
+            plan.tile_rows(),
             plan.span_aligned
         ));
+        let pass_width = match planes[..] {
+            [PlaneKind::Scalar(_)] => 32,
+            _ => 8 * (plan.nk + 1),
+        };
         Ok(Self {
             variant,
             d,
@@ -174,6 +200,7 @@ impl PlaneStack {
             // Never below the plan's own one-plane layout, which keeps a
             // weight region even when no plane runs on Tensor Cores.
             shared_total: cursor.max(plan.layout.total),
+            pass_width,
             colmap: column_map(plan.span, plan.nk, plan.block_groups),
         })
     }
@@ -254,7 +281,7 @@ impl PlaneStack {
                 bg: rem % p.blocks_g,
                 z0: bid / blocks_per_plane * bz,
                 rows_here,
-                tile_rows: rows_here + p.nk - 1,
+                tile_rows: rows_here + p.kernel_rows - 1,
             };
             let planes_here = bz.min(self.d - tile.z0);
             ctx.phase(Phase::SmemScatter);
@@ -285,8 +312,10 @@ impl PlaneStack {
     }
 
     /// Variant-I transform kernel: materialize the stencil2row matrices of
-    /// every extended plane in global memory. 32 extended rows per block;
-    /// scattered (uncoalesced) global writes and div/mod addressing — the
+    /// every extended plane in global memory. A block covers 32 extended
+    /// rows; a plane that is a single extended row (a height-1 kernel on
+    /// a one-row interior) is cut into 4096-column blocks instead.
+    /// Scattered (uncoalesced) global writes and div/mod addressing — the
     /// costs this variant exists to demonstrate.
     fn run_transform(
         &self,
@@ -298,24 +327,32 @@ impl PlaneStack {
         let nk = p.nk;
         let (rows, cols) = explicit_dims(p);
         let plane_len = p.ext_rows * p.ext_cols;
-        let rows_per_block = 32usize;
-        let blocks_per_plane = p.ext_rows.div_ceil(rows_per_block);
+        let block_cols = if p.ext_rows == 1 {
+            TRANSFORM_COLS
+        } else {
+            p.ext_cols
+        };
+        let col_blocks = p.ext_cols.div_ceil(block_cols);
+        let blocks_per_plane = p.ext_rows.div_ceil(TRANSFORM_ROWS) * col_blocks;
         let first = p.lc - p.radius; // ext column where the conv window starts
-        dev.set_write_hint(rows_per_block * 2 * p.span);
+        dev.set_write_hint(TRANSFORM_ROWS.min(p.ext_rows) * 2 * block_cols.min(p.span));
         dev.try_launch(self.ext_planes() * blocks_per_plane, 64, |bid, ctx| {
             ctx.phase(Phase::LayoutTransform);
             let plane = bid / blocks_per_plane;
-            let r0 = bid % blocks_per_plane * rows_per_block;
-            let r1 = (r0 + rows_per_block).min(p.ext_rows);
+            let rem = bid % blocks_per_plane;
+            let r0 = rem / col_blocks * TRANSFORM_ROWS;
+            let r1 = (r0 + TRANSFORM_ROWS).min(p.ext_rows);
+            let c0 = rem % col_blocks * block_cols;
             let sec = plane * rows * cols;
             let mut a_addrs = [INACTIVE; 32];
             let mut b_addrs = [INACTIVE; 32];
             let mut vals32 = [0.0f64; 32];
-            let mut vals = vec![0.0f64; p.ext_cols];
+            let mut vals = vec![0.0f64; block_cols.min(p.ext_cols - c0)];
             for r in r0..r1 {
-                ctx.gmem_read_span_into(ext_in, plane * plane_len + r * p.ext_cols, &mut vals);
+                let row = plane * plane_len + r * p.ext_cols;
+                ctx.gmem_read_span_into(ext_in, row + c0, &mut vals);
                 let mut lane = 0usize;
-                for (c, &v) in vals.iter().enumerate() {
+                for (c, &v) in (c0..).zip(&vals) {
                     let Some(c_rel) = c.checked_sub(first) else {
                         continue;
                     };
@@ -368,7 +405,10 @@ impl PlaneStack {
 
     /// Explicit-variant staging: copy the block's tile rows of plane
     /// `z0 + slot`'s global stencil2row matrices into the slot (coalesced
-    /// reads, contiguous stores).
+    /// reads, contiguous stores). In a plane that is a single extended
+    /// row the block's group rows lie back to back in global memory, and
+    /// without padding in shared memory too: one read and one store then
+    /// move each matrix's rows.
     fn stage(
         &self,
         ctx: &mut BlockCtx,
@@ -382,8 +422,14 @@ impl PlaneStack {
         let (rows, cols) = explicit_dims(p);
         let sec = (tile.z0 + slot) * rows * cols;
         let col0 = p.nk * (tile.bx * p.block_rows);
-        let mut vals = vec![0.0f64; (p.nk * tile.tile_rows).min(cols - col0)];
-        for ga in 0..p.block_groups {
+        let len = (p.nk * tile.tile_rows).min(cols - col0);
+        let run = if p.ext_rows == 1 && lay.stride == len {
+            p.block_groups
+        } else {
+            1
+        };
+        let mut vals = vec![0.0f64; run * len];
+        for ga in (0..p.block_groups).step_by(run) {
             let g = tile.bg * p.block_groups + ga;
             for (buf, base) in [(bufs.s2r_a, lay.a_off), (bufs.s2r_b, lay.b_off)] {
                 ctx.gmem_read_span_into(buf, sec + g * cols + col0, &mut vals);
@@ -393,9 +439,10 @@ impl PlaneStack {
         }
     }
 
-    /// Compute output plane `z0 + z_local` of the block: per output row and
-    /// 8-group band, the MMA planes' dual tessellations into one
-    /// accumulator, then the CUDA-core planes' taps, then the write-back.
+    /// Compute output plane `z0 + z_local` of the block, one pass of
+    /// `pass_width` outputs at a time per output row: the MMA planes'
+    /// dual tessellations into one accumulator, then the CUDA-core
+    /// planes' taps, then the write-back.
     fn compute(
         &self,
         ctx: &mut BlockCtx,
@@ -407,10 +454,12 @@ impl PlaneStack {
     ) {
         let lay = &p.layout;
         let nk = p.nk;
-        let band_width = 8 * (nk + 1);
-        assert!(band_width <= MAX_BAND_F64, "n_k too large for band buffer");
+        let row_width = p.block_groups * (nk + 1);
+        assert!(
+            self.pass_width <= MAX_BAND_F64,
+            "n_k too large for band buffer"
+        );
         let mut band_buf = [0.0f64; MAX_BAND_F64];
-        let out_vals = &mut band_buf[..band_width];
         let mut addrs = [0usize; 32];
         let mut lvals = [0.0f64; 32];
         // Each MMA plane's A and B chains, bases relative to band 0 and
@@ -428,19 +477,24 @@ impl PlaneStack {
         let mut band_chains = chains;
         let out_plane = (tile.z0 + z_local + self.rz) * p.ext_rows * p.ext_cols;
         for xr in 0..tile.rows_here {
-            for band in 0..p.block_groups / 8 {
-                // MMA planes accumulate in one fragment, in one call.
-                let shift = band * 8 * lay.stride + nk * xr;
-                for (c, &(base, frags)) in band_chains.iter_mut().zip(&chains[..n_chains]) {
-                    *c = (base + shift, frags);
+            for ypass in (0..row_width).step_by(self.pass_width) {
+                let out_vals = &mut band_buf[..self.pass_width.min(row_width - ypass)];
+                if n_chains > 0 {
+                    // A pass is one band: the MMA planes accumulate in one
+                    // fragment, in one call.
+                    let shift = ypass / (nk + 1) * lay.stride + nk * xr;
+                    for (c, &(base, frags)) in band_chains.iter_mut().zip(&chains[..n_chains]) {
+                        *c = (base + shift, frags);
+                    }
+                    let mut acc = FragAcc::zero();
+                    ctx.mma_chains(lay.stride, &band_chains[..n_chains], &mut acc);
+                    unpack_band(&acc, nk, out_vals);
+                } else {
+                    out_vals.fill(0.0);
                 }
-                let mut acc = FragAcc::zero();
-                ctx.mma_chains(lay.stride, &band_chains[..n_chains], &mut acc);
-                unpack_band(&acc, nk, out_vals);
                 // CUDA-core planes: taps over the shared tiles, added into
                 // the same results (§4.2 hybrid), one 32-lane group at a
                 // time.
-                let yband = band * band_width;
                 for (dz, plane) in self.planes.iter().enumerate() {
                     let PlaneKind::Scalar(taps) = plane else {
                         continue;
@@ -454,7 +508,7 @@ impl PlaneStack {
                             // term).
                             let t = xr + kx;
                             for l in 0..lanes {
-                                let (in_a, g, col) = self.colmap[yband + 32 * i + l + ky];
+                                let (in_a, g, col) = self.colmap[ypass + 32 * i + l + ky];
                                 let base = if in_a { lay.a_off } else { lay.b_off };
                                 addrs[l] = off + base + g * lay.stride + nk * t + col;
                             }
@@ -468,7 +522,7 @@ impl PlaneStack {
                     }
                 }
                 let row_base = out_plane + p.ext_idx(tile.bx * p.block_rows + xr, 0);
-                let y0 = (tile.bg * p.block_groups + band * 8) * (nk + 1);
+                let y0 = tile.bg * row_width + ypass;
                 write_row(ctx, ext_out, row_base, y0, p.n, out_vals);
             }
         }

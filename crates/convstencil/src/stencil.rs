@@ -2,15 +2,16 @@
 //!
 //! 1D, 2D and 3D share the stencil2row layout, dual tessellation and the
 //! LUT + dirty-bits scatter; they differ only in their grid, their
-//! executor (2D and 3D are one plane-stack core, `planes`, with one kernel
-//! plane or several) and their reference. [`Stencil`]
+//! executor (all three are one plane-stack core, `planes`: 3D with several
+//! kernel planes, 2D with one, 1D with one plane of a height-1 kernel over
+//! one row) and their reference. [`Stencil`]
 //! is that difference, implemented by [`Kernel1D`], [`Kernel2D`] and
 //! [`Kernel3D`]; the runner ([`crate::api::ConvStencil`]) and the
 //! application loop (`run_applications`) are written once against it.
 
 use crate::api::MAX_NK;
 use crate::error::ConvStencilError;
-use crate::exec1d::{try_halo_exchange_1d, Exec1D};
+use crate::exec1d::Exec1D;
 use crate::exec2d::{try_halo_exchange_2d, Exec2D};
 use crate::exec3d::{try_halo_exchange_3d, Exec3D};
 use crate::variants::VariantConfig;
@@ -145,7 +146,7 @@ impl Stencil for Kernel1D {
         ext: BufferId,
         exec: &Exec1D,
     ) -> Result<(), ConvStencilError> {
-        try_halo_exchange_1d(dev, ext, &exec.plan)
+        try_halo_exchange_2d(dev, ext, &exec.plan.row)
     }
     fn try_run_application(
         exec: &Exec1D,

@@ -176,7 +176,7 @@ mod tests {
         let (prows, pcols) = (16, 80);
         let padded = random_padded(prows, pcols, 77);
         let (a, b) = build_2d(&padded, prows, pcols, 7);
-        let w = WeightMatrices::from_kernel2d(&k);
+        let w = WeightMatrices::new(k.nk(), k.weights());
         let want = naive_valid_conv(&padded, prows, pcols, &k);
         let out_cols = pcols - 6;
         for x0 in [0usize, 3, 9] {
@@ -204,7 +204,7 @@ mod tests {
         let (prows, pcols) = (12, 80);
         let padded = random_padded(prows, pcols, 5);
         let (a, b) = build_2d(&padded, prows, pcols, 7);
-        let w = WeightMatrices::from_kernel2d(&k);
+        let w = WeightMatrices::new(k.nk(), k.weights());
         let vit_a = host_vitrolite_a(&a, &w, 2, 0);
         let vit_b = host_vitrolite_b(&b, &w, 2, 0);
         let want = naive_valid_conv(&padded, prows, pcols, &k);
@@ -232,7 +232,7 @@ mod tests {
         let (prows, pcols) = (20, 50);
         let padded = random_padded(prows, pcols, 31);
         let (a, b) = build_2d(&padded, prows, pcols, 3);
-        let w = WeightMatrices::from_kernel2d(&k);
+        let w = WeightMatrices::new(k.nk(), k.weights());
         let got = host_convstencil_2d(&a, &b, &w, prows, pcols);
         let want = naive_valid_conv(&padded, prows, pcols, &k);
         stencil_core::assert_close_default(&got, &want);
@@ -244,7 +244,7 @@ mod tests {
         let (prows, pcols) = (14, 37); // awkward, non-divisible width
         let padded = random_padded(prows, pcols, 13);
         let (a, b) = build_2d(&padded, prows, pcols, 5);
-        let w = WeightMatrices::from_kernel2d(&k);
+        let w = WeightMatrices::new(k.nk(), k.weights());
         let got = host_convstencil_2d(&a, &b, &w, prows, pcols);
         let want = naive_valid_conv(&padded, prows, pcols, &k);
         stencil_core::assert_close_default(&got, &want);
@@ -256,7 +256,7 @@ mod tests {
         let (prows, pcols) = (18, 64);
         let padded = random_padded(prows, pcols, 99);
         let (a, b) = build_2d(&padded, prows, pcols, 7);
-        let w = WeightMatrices::from_kernel2d(&k);
+        let w = WeightMatrices::new(k.nk(), k.weights());
         let got = host_convstencil_2d(&a, &b, &w, prows, pcols);
         let want = naive_valid_conv(&padded, prows, pcols, &k);
         stencil_core::assert_close_default(&got, &want);
@@ -270,7 +270,7 @@ mod tests {
         let (prows, pcols) = (10, 72);
         let padded = random_padded(prows, pcols, 55);
         let (a, b) = build_2d(&padded, prows, pcols, 7);
-        let w = WeightMatrices::from_kernel2d(&k);
+        let w = WeightMatrices::new(k.nk(), k.weights());
         let tile = host_dual_tessellation(&a, &b, &w, 0, 0);
         let want = naive_valid_conv(&padded, prows, pcols, &k);
         let out_cols = pcols - 6;

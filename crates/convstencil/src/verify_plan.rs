@@ -28,7 +28,6 @@
 //! `tests/property_based.rs`).
 
 use crate::error::ConvStencilError;
-use crate::exec1d::Plan1D;
 use crate::plan::{Plan2D, ScatterLut, LUT_SKIP};
 use crate::stencil2row::{map_a, map_b};
 use crate::variants::VariantConfig;
@@ -47,16 +46,17 @@ macro_rules! ensure {
     };
 }
 
-/// Check the 2D shared-memory layout arithmetic and, when the padding
-/// optimization is on, that the padded stride is bank-conflict-free.
+/// Check the shared-memory layout arithmetic of a plane plan (2D, a 3D
+/// plane, or the one row of 1D) and, when the padding optimization is
+/// on, that the padded stride is bank-conflict-free.
 pub fn verify_layout_2d(plan: &Plan2D, variant: VariantConfig) -> Result<(), ConvStencilError> {
     let lay = &plan.layout;
     let nk = plan.nk;
     ensure!(
-        lay.raw_cols == nk * (plan.block_rows + nk - 1),
-        "raw_cols {} != nk*(block_rows+nk-1) = {}",
+        lay.raw_cols == nk * plan.tile_rows(),
+        "raw_cols {} != nk*(block_rows+h-1) = {}",
         lay.raw_cols,
-        nk * (plan.block_rows + nk - 1)
+        nk * plan.tile_rows()
     );
     ensure!(
         lay.stride == lay.raw_cols + lay.pad,
@@ -149,7 +149,7 @@ fn expected_entry_2d(plan: &Plan2D, variant: VariantConfig, t: usize, i: usize) 
     [a, b]
 }
 
-/// Verify a 2D/3D-plane scatter lookup table: analytic-map agreement for
+/// Verify a plane plan's scatter lookup table: analytic-map agreement for
 /// every entry, totality + injectivity over the useful tile cells, and
 /// dirty entries confined to padding columns.
 pub fn verify_lut_2d(
@@ -159,7 +159,7 @@ pub fn verify_lut_2d(
 ) -> Result<(), ConvStencilError> {
     let nk = plan.nk;
     let lay = &plan.layout;
-    let tile_rows = plan.block_rows + nk - 1;
+    let tile_rows = plan.tile_rows();
     ensure!(
         lut.len() == tile_rows * plan.span_aligned,
         "LUT has {} entries, plan needs tile_rows {} x span_aligned {}",
@@ -226,154 +226,6 @@ pub fn verify_lut_2d(
             hit_b.iter().filter(|&&h| !h).count()
         );
     }
-    Ok(())
-}
-
-/// Check the 1D plan arithmetic (the 1D analog of
-/// [`verify_layout_2d`]).
-pub fn verify_plan_1d(plan: &Plan1D, variant: VariantConfig) -> Result<(), ConvStencilError> {
-    ensure!(
-        plan.raw_cols == plan.nk,
-        "1D raw_cols {} != nk {}",
-        plan.raw_cols,
-        plan.nk
-    );
-    ensure!(
-        plan.stride == plan.raw_cols + plan.pad,
-        "1D stride {} != raw_cols {} + pad {}",
-        plan.stride,
-        plan.raw_cols,
-        plan.pad
-    );
-    if variant.dirty_bits_lut {
-        ensure!(
-            plan.pad >= 1,
-            "dirty-bits variant needs pad >= 1 (got {})",
-            plan.pad
-        );
-    }
-    if variant.padding {
-        ensure!(
-            stride_is_conflict_free(plan.stride, 32),
-            "1D padded stride {} is not bank-conflict-free on 32 banks",
-            plan.stride
-        );
-    }
-    let tile_size = plan.b_off - plan.a_off;
-    ensure!(
-        plan.a_off == 0 && tile_size >= plan.block_groups * plan.stride,
-        "1D tile region too small: b_off {} < block_groups {} x stride {}",
-        plan.b_off,
-        plan.block_groups,
-        plan.stride
-    );
-    ensure!(
-        plan.wa_off == plan.b_off + tile_size
-            && plan.wb_off == plan.wa_off + plan.krows * 8
-            && plan.shared_total == plan.wb_off + plan.krows * 8,
-        "1D weight regions misplaced (wa_off {}, wb_off {}, total {})",
-        plan.wa_off,
-        plan.wb_off,
-        plan.shared_total
-    );
-    Ok(())
-}
-
-/// The 1D lookup-table entry the Eq. 5/6 maps predict for aligned lane
-/// `i` (a 1D tile has a single logical row, `x = 0`).
-fn expected_entry_1d(plan: &Plan1D, variant: VariantConfig, i: usize) -> [u32; 2] {
-    let nk = plan.nk;
-    let c = i as isize - plan.pre as isize;
-    let in_span = c >= 0 && (c as usize) < plan.span;
-    let dirty = variant.dirty_bits_lut;
-    let a = match in_span.then(|| map_a(0, c as usize, nk)).flatten() {
-        Some((g, col)) if g < plan.block_groups => (plan.a_off + g * plan.stride + col) as u32,
-        _ if dirty => {
-            let g = if in_span {
-                (c as usize / (nk + 1)).min(plan.block_groups - 1)
-            } else {
-                0
-            };
-            (plan.a_off + g * plan.stride + plan.raw_cols) as u32
-        }
-        _ => LUT_SKIP,
-    };
-    let b = match in_span.then(|| map_b(0, c as usize, nk)).flatten() {
-        Some((g, col)) if g < plan.block_groups => (plan.b_off + g * plan.stride + col) as u32,
-        _ if dirty => {
-            let g = match in_span.then(|| (c as usize).checked_sub(nk)).flatten() {
-                Some(cb) => (cb / (nk + 1)).min(plan.block_groups - 1),
-                None => 0,
-            };
-            (plan.b_off + g * plan.stride + plan.raw_cols) as u32
-        }
-        _ => LUT_SKIP,
-    };
-    [a, b]
-}
-
-/// Verify a 1D scatter lookup table (flat `Vec` form): analytic-map
-/// agreement, totality + injectivity, dirty-in-padding.
-pub fn verify_lut_1d(
-    plan: &Plan1D,
-    lut: &[[u32; 2]],
-    variant: VariantConfig,
-) -> Result<(), ConvStencilError> {
-    let nk = plan.nk;
-    ensure!(
-        lut.len() == plan.span_aligned,
-        "1D LUT has {} entries, plan needs span_aligned {}",
-        lut.len(),
-        plan.span_aligned
-    );
-    let mut hit_a = vec![false; plan.block_groups * nk];
-    let mut hit_b = vec![false; plan.block_groups * nk];
-    for (i, &got) in lut.iter().enumerate() {
-        let want = expected_entry_1d(plan, variant, i);
-        ensure!(
-            got == want,
-            "1D LUT entry i={i} is [{}, {}], Eq. 5/6 predict [{}, {}]",
-            got[0],
-            got[1],
-            want[0],
-            want[1]
-        );
-        for (side, (addr, (off, hits))) in [
-            (got[0], (plan.a_off, &mut hit_a)),
-            (got[1], (plan.b_off, &mut hit_b)),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if addr == LUT_SKIP {
-                continue;
-            }
-            let addr = addr as usize;
-            ensure!(
-                addr >= off && addr < off + plan.block_groups * plan.stride + plan.pad.max(1),
-                "1D LUT {} address {addr} escapes its tile region at {off} (i={i})",
-                ["A", "B"][side]
-            );
-            let g = (addr - off) / plan.stride;
-            let col = (addr - off) % plan.stride;
-            if col >= plan.raw_cols {
-                continue; // dirty entry in padding.
-            }
-            let slot = g * nk + col;
-            ensure!(
-                !hits[slot],
-                "1D LUT {} cell (group {g}, col {col}) written twice",
-                ["A", "B"][side]
-            );
-            hits[slot] = true;
-        }
-    }
-    ensure!(
-        hit_a.iter().all(|&h| h) && hit_b.iter().all(|&h| h),
-        "1D LUT not total: {} A and {} B useful cells unwritten",
-        hit_a.iter().filter(|&&h| !h).count(),
-        hit_b.iter().filter(|&&h| !h).count()
-    );
     Ok(())
 }
 
@@ -455,9 +307,13 @@ pub fn verify_weights(w: &WeightMatrices) -> Result<(), ConvStencilError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec1d::Exec1D;
+    use crate::exec1d::{Exec1D, Plan1D};
     use crate::exec2d::Exec2D;
     use stencil_core::{Kernel1D, Kernel2D};
+
+    fn weights_of(k: &Kernel2D) -> WeightMatrices {
+        WeightMatrices::new(k.nk(), k.weights())
+    }
 
     #[test]
     fn shipped_plans_pass_every_check() {
@@ -466,11 +322,18 @@ mod tests {
             verify_layout_2d(&plan, variant).unwrap();
             let lut = plan.build_scatter_lut(variant);
             verify_lut_2d(&plan, &lut, variant).unwrap();
+            // The one-row plans of 1D, through the same checks.
+            for nk in [3, 5, 7] {
+                let plan = Plan1D::try_new(1000, nk, variant).unwrap().row;
+                verify_layout_2d(&plan, variant).unwrap();
+                let lut = plan.build_scatter_lut(variant);
+                verify_lut_2d(&plan, &lut, variant).unwrap();
+            }
         }
         let k = Kernel2D::box_uniform(3);
-        verify_weights(&WeightMatrices::from_kernel2d(&k)).unwrap();
+        verify_weights(&weights_of(&k)).unwrap();
         let k1 = Kernel1D::new(vec![0.2, 0.5, 0.2]);
-        verify_weights(&WeightMatrices::from_kernel1d(&k1)).unwrap();
+        verify_weights(&WeightMatrices::new(k1.nk(), k1.weights())).unwrap();
         let exec = Exec1D::try_new(&k1, 512, VariantConfig::conv_stencil()).unwrap();
         exec.verify().unwrap();
     }
@@ -482,7 +345,7 @@ mod tests {
         let variant = VariantConfig::conv_stencil();
         let mut plan = Plan2D::try_new_3d_plane(16, 64, 5, variant).unwrap();
         plan.block_groups = 10;
-        plan.layout = crate::plan::SharedLayout::new(5, 8, 10, plan.krows, variant);
+        plan.layout = crate::plan::SharedLayout::new(5, 5, 8, 10, plan.krows, variant);
         let err = verify_layout_2d(&plan, variant).unwrap_err();
         assert!(err.to_string().contains("multiple of 8"), "{err}");
     }
@@ -500,12 +363,22 @@ mod tests {
         let err = exec.verify().unwrap_err();
         assert!(matches!(err, ConvStencilError::PlanInvalid { .. }));
         assert!(err.to_string().contains("Eq. 5/6"));
+
+        // The same mutation of a 1D lookup table.
+        let k1 = Kernel1D::new(vec![0.25, 0.5, 0.25]);
+        let mut exec = Exec1D::try_new(&k1, 4096, variant).unwrap();
+        exec.verify().unwrap();
+        let lane = exec.plan.row.pre + 1;
+        let old = exec.lut().get(0, lane);
+        exec.lut_mut().set(0, lane, [old[0] + 1, old[1]]);
+        let err = exec.verify().unwrap_err();
+        assert!(err.to_string().contains("Eq. 5/6"), "{err}");
     }
 
     #[test]
     fn corrupted_weight_matrix_is_rejected() {
         let k = Kernel2D::box_uniform(2);
-        let mut w = WeightMatrices::from_kernel2d(&k);
+        let mut w = weights_of(&k);
         // Flip one in-band element of B.
         let nk = w.nk;
         w.b[nk + 2] += 1.0; // row 1 (c = 1), j = 2: inside B's band.
@@ -516,7 +389,7 @@ mod tests {
     #[test]
     fn zero_structure_violations_are_rejected() {
         let k = Kernel2D::box_uniform(1);
-        let mut w = WeightMatrices::from_kernel2d(&k);
+        let mut w = weights_of(&k);
         // A's column past the band must be zero; poke one.
         w.a[7] = 0.25; // row 0, j = 7 (> c = 0): must be zero.
         assert!(verify_weights(&w).is_err());

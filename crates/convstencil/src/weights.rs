@@ -18,9 +18,9 @@
 //! a multiple of 4 rows (the fragment k-dimension), stored row-major with
 //! row stride 8 so they can be loaded directly as `4x8` B-fragments.
 //!
-//! The 1D construction is the single-block special case (`n_k` rows).
+//! The 1D construction is the single-block special case (`n_k` rows): one
+//! constructor, [`WeightMatrices::new`], takes a kernel's rows.
 
-use stencil_core::{Kernel1D, Kernel2D};
 use tcu_sim::{BlockCtx, FragB};
 
 /// Fragment width of the FP64 Tensor Core accumulator.
@@ -33,7 +33,8 @@ pub const FRAG_K: usize = 4;
 pub struct WeightMatrices {
     /// Kernel edge length.
     pub nk: usize,
-    /// Logical row count before padding (`n_k²` in 2D, `n_k` in 1D).
+    /// Logical row count before padding: `h·n_k` for `h` kernel rows
+    /// (`n_k²` in 2D, `n_k` in 1D).
     pub logical_rows: usize,
     /// Padded row count: `4 ⌈logical_rows / 4⌉`.
     pub krows: usize,
@@ -60,59 +61,36 @@ impl WeightMatrices {
         self.b[row * FRAG_N + col]
     }
 
-    /// Build from a 2D kernel (dense weights; star kernels simply carry
-    /// zeros).
-    pub fn from_kernel2d(kernel: &Kernel2D) -> Self {
-        let nk = kernel.nk();
+    /// Build from a kernel's rows: `taps` holds `h` rows of `nk` weights,
+    /// row-major with the top-left tap first — a 2D kernel or 3D kernel
+    /// plane (`h = n_k`, dense; star kernels simply carry zeros), or a 1D
+    /// kernel (`h = 1`, the single-block case of §4.1).
+    pub fn new(nk: usize, taps: &[f64]) -> Self {
         assert!(
             nk < FRAG_N,
             "kernel edge {nk} exceeds the fragment width; ConvStencil supports n_k <= 7"
         );
-        let logical_rows = nk * nk;
+        assert!(
+            taps.len().is_multiple_of(nk),
+            "{} taps are not whole rows of {nk}",
+            taps.len()
+        );
+        let logical_rows = taps.len();
         let krows = logical_rows.div_ceil(FRAG_K) * FRAG_K;
         let mut a = vec![0.0; krows * FRAG_N];
         let mut b = vec![0.0; krows * FRAG_N];
-        for dx in 0..nk {
+        for (dx, w) in taps.chunks_exact(nk).enumerate() {
             for c in 0..nk {
                 let row = nk * dx + c;
                 // Lower-triangular block: column j gets w[dx][c - j].
-                for j in 0..=c.min(nk - 1) {
-                    a[row * FRAG_N + j] = kernel.weight_tl(dx, c - j);
+                for j in 0..=c {
+                    a[row * FRAG_N + j] = w[c - j];
                 }
                 // Upper-triangular block: q = c here; column j > q gets
                 // w[dx][nk - j + q].
                 for j in (c + 1)..=nk {
-                    b[row * FRAG_N + j] = kernel.weight_tl(dx, nk - j + c);
+                    b[row * FRAG_N + j] = w[nk - j + c];
                 }
-            }
-        }
-        Self {
-            nk,
-            logical_rows,
-            krows,
-            a,
-            b,
-        }
-    }
-
-    /// Build from a 1D kernel: the single-block case (§4.1).
-    pub fn from_kernel1d(kernel: &Kernel1D) -> Self {
-        let nk = kernel.nk();
-        assert!(
-            nk < FRAG_N,
-            "kernel length {nk} exceeds the fragment width; ConvStencil supports n_k <= 7"
-        );
-        let logical_rows = nk;
-        let krows = logical_rows.div_ceil(FRAG_K) * FRAG_K;
-        let mut a = vec![0.0; krows * FRAG_N];
-        let mut b = vec![0.0; krows * FRAG_N];
-        let w = kernel.weights();
-        for c in 0..nk {
-            for j in 0..=c {
-                a[c * FRAG_N + j] = w[c - j];
-            }
-            for j in (c + 1)..=nk {
-                b[c * FRAG_N + j] = w[nk - j + c];
             }
         }
         Self {
@@ -180,6 +158,11 @@ impl StagedWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stencil_core::{Kernel1D, Kernel2D};
+
+    fn from_kernel2d(k: &Kernel2D) -> WeightMatrices {
+        WeightMatrices::new(k.nk(), k.weights())
+    }
 
     fn numbered_kernel(nk: usize) -> Kernel2D {
         // w[dx][c] = n_k·dx + c + 1, i.e. a1..a49 of the paper's figure.
@@ -189,7 +172,7 @@ mod tests {
 
     #[test]
     fn first_column_of_a_holds_all_weights_in_order() {
-        let w = WeightMatrices::from_kernel2d(&numbered_kernel(7));
+        let w = from_kernel2d(&numbered_kernel(7));
         for p in 0..49 {
             assert_eq!(w.a_at(p, 0), (p + 1) as f64, "a{} misplaced", p + 1);
         }
@@ -203,7 +186,7 @@ mod tests {
 
     #[test]
     fn last_column_of_a_is_zero_and_of_b_is_complete() {
-        let w = WeightMatrices::from_kernel2d(&numbered_kernel(7));
+        let w = from_kernel2d(&numbered_kernel(7));
         for p in 0..w.krows {
             assert_eq!(w.a_at(p, 7), 0.0, "A column n_k must be zero");
         }
@@ -222,7 +205,7 @@ mod tests {
 
     #[test]
     fn a_blocks_are_lower_triangular_matching_figure_3() {
-        let w = WeightMatrices::from_kernel2d(&numbered_kernel(7));
+        let w = from_kernel2d(&numbered_kernel(7));
         // Figure 3 row samples: row 1 = [a2 a1 0 0 0 0 0 0].
         let row1: Vec<f64> = (0..8).map(|j| w.a_at(1, j)).collect();
         assert_eq!(row1, vec![2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
@@ -242,7 +225,7 @@ mod tests {
 
     #[test]
     fn b_blocks_are_upper_triangular_matching_figure_3() {
-        let w = WeightMatrices::from_kernel2d(&numbered_kernel(7));
+        let w = from_kernel2d(&numbered_kernel(7));
         // Row 0 of B = [0 a7 a6 a5 a4 a3 a2 a1].
         let row0: Vec<f64> = (0..8).map(|j| w.b_at(0, j)).collect();
         assert_eq!(row0, vec![0.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0]);
@@ -262,7 +245,7 @@ mod tests {
         // For any output column j in 0..=nk, each kernel weight appears
         // exactly once across W_A[:, j] and W_B[:, j].
         let nk = 5;
-        let w = WeightMatrices::from_kernel2d(&numbered_kernel(nk));
+        let w = from_kernel2d(&numbered_kernel(nk));
         let total: f64 = (1..=nk * nk).map(|i| i as f64).sum();
         for j in 0..=nk {
             let sum: f64 = (0..w.krows).map(|p| w.a_at(p, j) + w.b_at(p, j)).sum();
@@ -275,7 +258,7 @@ mod tests {
         for nk in [3usize, 5, 7] {
             let r = (nk - 1) / 2;
             let k = Kernel2D::box_uniform(r);
-            let w = WeightMatrices::from_kernel2d(&k);
+            let w = from_kernel2d(&k);
             assert_eq!(
                 w.mmas_per_tessellation() as u64,
                 2 * ((nk * nk) as u64).div_ceil(4)
@@ -286,7 +269,7 @@ mod tests {
     #[test]
     fn kernel1d_weight_structure() {
         let k = Kernel1D::new((1..=7).map(|i| i as f64).collect());
-        let w = WeightMatrices::from_kernel1d(&k);
+        let w = WeightMatrices::new(k.nk(), k.weights());
         assert_eq!(w.krows, 8);
         for p in 0..7 {
             assert_eq!(w.a_at(p, 0), (p + 1) as f64);
@@ -299,6 +282,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "n_k <= 7")]
     fn oversized_kernel_rejected() {
-        WeightMatrices::from_kernel2d(&Kernel2D::box_uniform(4));
+        from_kernel2d(&Kernel2D::box_uniform(4));
     }
 }

@@ -34,7 +34,7 @@ use convstencil::{
     Stencil, VariantConfig, VerifyConfig, WorkArrays,
 };
 use stencil_core::{Boundary, Grid1D, Grid2D, Grid3D, HaloGrid};
-use tcu_sim::{CostModel, Counters, Device, FaultPlan, LaunchStats, SanitizerReport};
+use tcu_sim::{CostModel, Counters, Device, FaultPlan, LaunchStats, SanitizerReport, Trace};
 
 /// Same-device retries a chunk gets before its failure is recorded on the
 /// breaker and the job migrates (none on a dead device).
@@ -315,8 +315,39 @@ pub struct JobReport {
     pub modeled_cost_ms: f64,
     /// Aggregated sanitizer totals when the runner has the sanitizer on.
     pub sanitizer: Option<SanitizerReport>,
+    /// Every span of this execution's chunk attempts, in order, when the
+    /// runner has tracing on (`None` otherwise). Traces are not
+    /// checkpointed: a resumed job's trace starts at the resume.
+    pub trace: Option<Trace>,
     /// Ordered ladder/lifecycle events, for observability and tests.
     pub events: Vec<JobEvent>,
+}
+
+impl JobReport {
+    /// Fold one chunk attempt on `device` into the report: its ledger and
+    /// launches since `counters_before`/`launches_before`, and the
+    /// sanitizer findings and spans the device holds, which are taken off
+    /// it. Attempted work is real work: this runs whether or not the
+    /// chunk committed.
+    fn absorb_attempt(
+        &mut self,
+        device: &mut Device,
+        counters_before: Counters,
+        launches_before: LaunchStats,
+    ) {
+        self.counters += device.counters.saturating_sub(&counters_before);
+        let launches = device.launch_stats;
+        self.launch_stats.merge(&LaunchStats {
+            kernel_launches: launches.kernel_launches - launches_before.kernel_launches,
+            total_blocks: launches.total_blocks - launches_before.total_blocks,
+        });
+        if let Some(agg) = &mut self.sanitizer {
+            agg.merge(device.take_sanitizer_report());
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.merge(device.take_trace());
+        }
+    }
 }
 
 /// A finished (or cleanly halted) job.
@@ -465,6 +496,9 @@ impl Runtime {
         if pool.slot(0).device.sanitizing() {
             report.sanitizer = Some(SanitizerReport::default());
         }
+        if pool.slot(0).device.tracing() {
+            report.trace = Some(Trace::default());
+        }
         if let Some(ck) = &resume {
             pool.restore_completed(ck.pool_completed);
             steps_done = ck.steps_done;
@@ -579,17 +613,7 @@ impl Runtime {
                     let accepted = attempts.accepted.map(|out| *grid = out).is_some();
                     (accepted, attempts.detected, attempts.retries)
                 });
-                // Attempted work is real work: accumulate its ledger and
-                // sanitizer findings whether or not the chunk committed.
-                report.counters += device.counters.saturating_sub(&counters_before);
-                let launches = device.launch_stats;
-                report.launch_stats.merge(&LaunchStats {
-                    kernel_launches: launches.kernel_launches - launches_before.kernel_launches,
-                    total_blocks: launches.total_blocks - launches_before.total_blocks,
-                });
-                if let Some(agg) = &mut report.sanitizer {
-                    agg.merge(device.take_sanitizer_report());
-                }
+                report.absorb_attempt(device, counters_before, launches_before);
                 report.faults_detected += detected;
                 report.retries += retries;
                 report
@@ -747,5 +771,41 @@ impl Runtime {
                 })
                 .collect(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tcu_sim::Phase;
+
+    /// An absorbed attempt leaves no spans on the device, and its spans
+    /// reach the report in order, on top of the earlier ones.
+    #[test]
+    fn absorbed_attempts_move_the_device_trace_into_the_report() {
+        let mut device = Device::a100();
+        device.set_tracing(true);
+        let mut report = JobReport {
+            trace: Some(Trace::default()),
+            ..JobReport::default()
+        };
+        for attempt in 0..2 {
+            let (counters, launches) = (device.counters, device.launch_stats);
+            device
+                .try_launch(2, 64, |_, ctx| {
+                    ctx.phase(Phase::Epilogue);
+                    ctx.count_int(1);
+                })
+                .unwrap();
+            report.absorb_attempt(&mut device, counters, launches);
+            assert!(device.trace().is_empty(), "attempt {attempt}");
+        }
+        let trace = report.trace.expect("tracing is on");
+        let launches: Vec<u64> = trace.spans.iter().map(|s| s.launch).collect();
+        assert!(launches.windows(2).all(|w| w[0] <= w[1]), "{launches:?}");
+        assert_eq!(launches.first(), Some(&0));
+        assert_eq!(launches.last(), Some(&1));
+        assert_eq!(trace.total_counters(), report.counters);
+        assert_eq!(report.launch_stats.kernel_launches, 2);
     }
 }

@@ -2,15 +2,16 @@
 //! stencil2row mapping structure, weight-matrix/tessellation algebra,
 //! temporal fusion, padding conflict-freedom, and the Eq. 13 MMA count.
 
+use convstencil_repro::convstencil::exec1d::Exec1D;
 use convstencil_repro::convstencil::exec2d::{try_run_2d_applications_bc, Exec2D};
 use convstencil_repro::convstencil::model;
 use convstencil_repro::convstencil::stencil2row::{build_2d, map_a, map_b, unmap_a, unmap_b};
 use convstencil_repro::convstencil::tessellation::host_convstencil_2d;
 use convstencil_repro::convstencil::{
-    ConvStencil2D, ConvStencilError, Plan2D, VariantConfig, WeightMatrices,
+    ConvStencil2D, ConvStencilError, Plan2D, ScatterLut, VariantConfig, WeightMatrices,
 };
 use convstencil_repro::stencil_core::{
-    fill_pseudorandom, fuse2d, reference, Boundary, Grid2D, Kernel2D,
+    fill_pseudorandom, fuse2d, reference, Boundary, Grid2D, Kernel1D, Kernel2D,
 };
 use convstencil_repro::tcu_sim::{conflict_free_pad, stride_is_conflict_free, Device};
 use proptest::prelude::*;
@@ -66,7 +67,7 @@ proptest! {
     /// output column j (0..=n_k) across A and B.
     #[test]
     fn weight_columns_cover_kernel_exactly_once(kernel in arb_kernel(2)) {
-        let w = WeightMatrices::from_kernel2d(&kernel);
+        let w = WeightMatrices::new(kernel.nk(), kernel.weights());
         let total: f64 = kernel.weights().iter().sum();
         for j in 0..=kernel.nk() {
             let col: f64 = (0..w.krows).map(|p| w.a_at(p, j) + w.b_at(p, j)).sum();
@@ -88,7 +89,7 @@ proptest! {
         let mut padded = vec![0.0; prows * pcols];
         fill_pseudorandom(&mut padded, seed);
         let (a, b) = build_2d(&padded, prows, pcols, nk);
-        let w = WeightMatrices::from_kernel2d(&kernel);
+        let w = WeightMatrices::new(kernel.nk(), kernel.weights());
         let got = host_convstencil_2d(&a, &b, &w, prows, pcols);
         // Naive valid conv.
         let (orows, ocols) = (prows - nk + 1, pcols - nk + 1);
@@ -225,6 +226,16 @@ fn memory_saving_is_monotone_in_kernel_size() {
     }
 }
 
+/// Add `delta` to side `side` of one entry of `lut`, at the tile row and
+/// lane of `plan` that `entry_seed` picks.
+fn mutate_entry(lut: &mut ScatterLut, plan: &Plan2D, entry_seed: u64, delta: u32, side: usize) {
+    let t = (entry_seed as usize) % plan.tile_rows();
+    let i = (entry_seed >> 16) as usize % plan.span_aligned;
+    let mut e = lut.get(t, i);
+    e[side] = e[side].wrapping_add(delta);
+    lut.set(t, i, e);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -242,15 +253,18 @@ proptest! {
         let w: Vec<f64> = (0..nk * nk)
             .map(|i| ((kernel_seed + i as u64) % 13) as f64 * 0.05 - 0.3)
             .collect();
-        let kernel = Kernel2D::new(radius, w);
         let variant = VariantConfig::breakdown()[vidx].1;
+        let kernel1 = Kernel1D::new(w[..nk].to_vec());
+        let exec = Exec1D::try_new(&kernel1, m * n, variant).unwrap();
+        prop_assert!(exec.verify().is_ok());
+        let kernel = Kernel2D::new(radius, w);
         let exec = Exec2D::try_new(&kernel, m, n, variant).unwrap();
         prop_assert!(exec.verify().is_ok());
     }
 
     /// Static verifier completeness: *any* mutation of *any* lookup-table
-    /// entry is rejected — the LUT is fully pinned by the Eq. 5/6 maps
-    /// plus the dirty-slot assignment.
+    /// entry, of a 1D or a 2D plan, is rejected — the LUT is fully pinned
+    /// by the Eq. 5/6 maps plus the dirty-slot assignment.
     #[test]
     fn any_lut_mutation_is_always_rejected(
         entry_seed in 0u64..1_000_000_000,
@@ -259,16 +273,16 @@ proptest! {
         vidx in 0usize..5,
     ) {
         let variant = VariantConfig::breakdown()[vidx].1;
+        let kernel = Kernel1D::new(vec![0.25, 0.5, 0.25]);
+        let mut exec = Exec1D::try_new(&kernel, 3000, variant).unwrap();
+        let plan = exec.plan.row.clone();
+        mutate_entry(exec.lut_mut(), &plan, entry_seed, delta, side);
+        prop_assert!(exec.verify().is_err());
+
         let kernel = Kernel2D::box_uniform(1);
         let mut exec = Exec2D::try_new(&kernel, 40, 72, variant).unwrap();
-        let p = &exec.plan;
-        let tile_rows = p.block_rows + p.nk - 1;
-        let span_aligned = p.span_aligned;
-        let t = (entry_seed as usize) % tile_rows;
-        let i = (entry_seed >> 16) as usize % span_aligned;
-        let mut e = exec.lut().get(t, i);
-        e[side] = e[side].wrapping_add(delta);
-        exec.lut_mut().set(t, i, e);
+        let plan = exec.plan.clone();
+        mutate_entry(exec.lut_mut(), &plan, entry_seed, delta, side);
         prop_assert!(exec.verify().is_err());
     }
 }

@@ -266,6 +266,56 @@ fn interrupted_then_resumed_matches_uninterrupted_1d_and_3d() {
     }
 }
 
+/// A traced job reports its spans: one set per chunk launch, each ending
+/// in the launch's `uncategorized` span, summing to the job's ledger. The
+/// spans are taken off the pool device after every chunk, so none are
+/// left behind unreported.
+#[test]
+fn traced_job_reports_every_chunk_launch_span() {
+    use convstencil_repro::convstencil::ConvStencil1D;
+    use convstencil_repro::tcu_sim::Phase;
+    let kernel = Shape::Heat1D.kernel1d().unwrap();
+    let runner = ConvStencil1D::try_new(kernel.clone())
+        .unwrap()
+        .with_tracing(true);
+    let mut grid = Grid1D::new(4096, kernel.radius());
+    grid.fill_random(42);
+    let outcome = run_job(
+        RuntimeConfig {
+            devices: 1,
+            checkpoint_every: 2,
+            ..RuntimeConfig::default()
+        },
+        JobPayload::D1 { runner, grid },
+        STEPS,
+    );
+    let report = &outcome.report;
+    let trace = report
+        .trace
+        .as_ref()
+        .expect("a traced job reports its trace");
+    let launches = report.launch_stats.kernel_launches;
+    assert!(launches >= STEPS / 2, "{launches} launches for 3 chunks");
+    let closing = trace
+        .spans
+        .iter()
+        .filter(|s| s.phase == Phase::Uncategorized)
+        .count() as u64;
+    assert_eq!(closing, launches, "one span set per chunk launch");
+    assert_eq!(trace.total_counters(), report.counters);
+
+    let untraced = run_job(
+        RuntimeConfig {
+            devices: 1,
+            checkpoint_every: 2,
+            ..RuntimeConfig::default()
+        },
+        payload1d(),
+        STEPS,
+    );
+    assert!(untraced.report.trace.is_none());
+}
+
 /// With `failure_threshold = 1` a single chunk failure trips the breaker
 /// open and the job migrates; the breaker-open and migration events land
 /// in the ledger in order.
