@@ -37,14 +37,19 @@
 //! checking every digit and separator; any other list goes through the
 //! generic `split(',')` + `u64::from_str_radix` parser, so the accepted
 //! inputs and the error messages are those of the generic parser.
-//! `tests/checkpoint_wire.rs` pins the bytes against a committed fixture.
+//! `crates/runtime/tests/checkpoint_wire.rs` pins the bytes against a
+//! committed fixture.
 //!
 //! ## Crash consistency
 //!
 //! Files are written with the bench crate's `atomic_write` (uniquely
 //! named temp file + fsync + atomic rename + directory fsync), so a crash
 //! at any point leaves either the previous checkpoint or the complete new
-//! one, never a torn file. Temp names end in `.tmp`, never in `.ckpt`, so
+//! one, never a torn file. A save has an encode half
+//! ([`Checkpoint::encode_for_save`]) and a write half
+//! ([`Checkpoint::write_encoded`]); [`Checkpoint::save`] runs both, and a
+//! runtime job runs the write half on a helper thread while its next
+//! chunk computes. Temp names end in `.tmp`, never in `.ckpt`, so
 //! the loader never picks one up. The loader scans a directory, tries
 //! newest-first, and skips corrupt or truncated files with a warning
 //! instead of failing the resume.
@@ -836,13 +841,16 @@ impl Checkpoint {
     /// Write atomically into `dir` (created if missing) under the
     /// canonical [`Checkpoint::file_name`]. Returns the final path.
     pub fn save(&self, dir: &Path) -> Result<PathBuf, ConvStencilError> {
-        self.save_with(dir, &mut Vec::new())
+        let mut buf = Vec::new();
+        let path = self.encode_for_save(dir, &mut buf)?;
+        Self::write_encoded(&path, &buf)?;
+        Ok(path)
     }
 
-    /// [`Checkpoint::save`], encoding into `buf` (see
-    /// [`Checkpoint::encode_into`]) so a job can reuse one buffer for all
-    /// of its saves.
-    pub(crate) fn save_with(
+    /// The encode half of [`Checkpoint::save`]: create `dir`, encode into
+    /// `buf` (see [`Checkpoint::encode_into`]) and return the final path.
+    /// A job reuses one buffer for all of its saves.
+    pub(crate) fn encode_for_save(
         &self,
         dir: &Path,
         buf: &mut Vec<u8>,
@@ -851,13 +859,17 @@ impl Checkpoint {
             path: dir.display().to_string(),
             reason: e.to_string(),
         })?;
-        let path = dir.join(Self::file_name(&self.job, self.steps_done));
         self.encode_into(buf);
-        atomic_write(&path, buf).map_err(|e| ConvStencilError::ArtifactWrite {
+        Ok(dir.join(Self::file_name(&self.job, self.steps_done)))
+    }
+
+    /// The write half of [`Checkpoint::save`]: write encoded bytes to
+    /// `path` durably (see the module docs).
+    pub(crate) fn write_encoded(path: &Path, bytes: &[u8]) -> Result<(), ConvStencilError> {
+        atomic_write(path, bytes).map_err(|e| ConvStencilError::ArtifactWrite {
             path: path.display().to_string(),
             reason: e.to_string(),
-        })?;
-        Ok(path)
+        })
     }
 
     /// Read and verify one checkpoint file.

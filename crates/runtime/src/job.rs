@@ -16,14 +16,17 @@
 //!    reference decomposition.
 //!
 //! Work proceeds in *chunks* of `checkpoint_every` timesteps. A chunk
-//! either commits whole (grid replaced, counters accumulated, checkpoint
-//! written) or not at all, so deadline cancellation and crashes always
-//! leave a consistent last checkpoint. Deadlines — host wall clock and
-//! the deterministic cost-model budget — are only checked *between*
-//! chunks, never mid-launch.
+//! either commits whole or not at all: its grid and counters commit at
+//! once, and its checkpoint is encoded then and becomes durable by the
+//! next chunk boundary or before `Runtime::execute` returns, whichever
+//! comes first. So deadline cancellation and crashes always leave a
+//! consistent last checkpoint. Deadlines — host wall clock and the
+//! deterministic cost-model budget — are only checked *between* chunks,
+//! never mid-launch.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -379,6 +382,56 @@ fn validate_job_name(name: &str) -> Result<(), ConvStencilError> {
     }
 }
 
+/// What a finished checkpoint write hands back: the buffer and the result.
+type Written = (Vec<u8>, Result<(), ConvStencilError>);
+
+/// A job's checkpoint writes: each save is encoded on the job thread into
+/// the one reused buffer, then written durably on a scoped helper thread
+/// while the next chunk computes. At most one write is in flight; the
+/// buffer comes back when it is joined.
+struct CheckpointWriter<'scope, 'env> {
+    scope: &'scope Scope<'scope, 'env>,
+    buf: Vec<u8>,
+    in_flight: Option<ScopedJoinHandle<'scope, Written>>,
+}
+
+impl<'scope, 'env> CheckpointWriter<'scope, 'env> {
+    fn new(scope: &'scope Scope<'scope, 'env>) -> Self {
+        Self {
+            scope,
+            buf: Vec::new(),
+            in_flight: None,
+        }
+    }
+
+    /// Wait for the write in flight, if any, take its buffer back and
+    /// return its error. A panic on the helper is re-raised here.
+    fn join(&mut self) -> Result<(), ConvStencilError> {
+        let Some(handle) = self.in_flight.take() else {
+            return Ok(());
+        };
+        let (buf, written) = handle
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        self.buf = buf;
+        written
+    }
+
+    /// Once the previous write is durable, encode `ck` and start writing
+    /// it into `dir`. A failed previous write is returned instead, and
+    /// nothing more is written.
+    fn save(&mut self, ck: &Checkpoint, dir: &Path) -> Result<(), ConvStencilError> {
+        self.join()?;
+        let path = ck.encode_for_save(dir, &mut self.buf)?;
+        let buf = std::mem::take(&mut self.buf);
+        self.in_flight = Some(self.scope.spawn(move || {
+            let written = Checkpoint::write_encoded(&path, &buf);
+            (buf, written)
+        }));
+        Ok(())
+    }
+}
+
 /// The runtime: a bounded job queue in front of a device pool.
 #[derive(Debug)]
 pub struct Runtime {
@@ -450,13 +503,33 @@ impl Runtime {
         Ok((outcome, warnings))
     }
 
-    /// Run one job to completion (or clean halt) through the ladder.
+    /// Run one job to completion (or clean halt) through the ladder. Its
+    /// checkpoint writes run on a scoped helper thread that is joined
+    /// before this returns, on every path. A failed write wins over
+    /// whatever else ended the run, because it happened first.
     fn execute(
+        &self,
+        name: String,
+        payload: JobPayload,
+        steps_total: u64,
+        resume: Option<Checkpoint>,
+    ) -> Result<JobOutcome, ConvStencilError> {
+        std::thread::scope(|scope| {
+            let mut writer = CheckpointWriter::new(scope);
+            let run = self.run_chunks(name, payload, steps_total, resume, &mut writer);
+            writer.join().and(run)
+        })
+    }
+
+    /// The chunk loop of [`Runtime::execute`], handing each checkpoint to
+    /// `writer`.
+    fn run_chunks(
         &self,
         name: String,
         mut payload: JobPayload,
         steps_total: u64,
         resume: Option<Checkpoint>,
+        writer: &mut CheckpointWriter<'_, '_>,
     ) -> Result<JobOutcome, ConvStencilError> {
         validate_job_name(&name)?;
         let started = Instant::now();
@@ -540,9 +613,9 @@ impl Runtime {
             });
         }
 
-        // One encode buffer for every save of this execution: each file
-        // is encoded into the previous file's storage.
-        let mut encoded = Vec::new();
+        // Checkpoints written by *this* execution, so a resumed run gets
+        // its own halt budget.
+        let mut written_here = 0u64;
         while steps_done < steps_total {
             // Deadlines: between chunks only, so the last checkpoint (and
             // the committed grid) is always a consistent cut.
@@ -659,21 +732,15 @@ impl Runtime {
                     &pool,
                     active,
                 );
-                let saved = ck.save_with(dir, &mut encoded);
+                let saved = writer.save(&ck, dir);
                 payload.restore_grid(std::mem::take(&mut ck.grid_data));
                 saved?;
                 report.checkpoints_written += 1;
+                written_here += 1;
                 report
                     .events
                     .push(JobEvent::CheckpointWritten { step: steps_done });
                 if let Some(halt_after) = self.config.halt_after_checkpoints {
-                    // Count only checkpoints written by *this* execution,
-                    // so a resumed run gets its own halt budget.
-                    let written_here = report
-                        .events
-                        .iter()
-                        .filter(|e| matches!(e, JobEvent::CheckpointWritten { .. }))
-                        .count() as u64;
                     if written_here >= halt_after && steps_done < steps_total {
                         report.events.push(JobEvent::Halted { step: steps_done });
                         report.modeled_cost_ms = cost_model

@@ -525,6 +525,170 @@ fn hang_trips_cost_model_deadline() {
     }
 }
 
+fn interior_bits(outcome: &JobOutcome) -> Vec<u64> {
+    outcome
+        .payload
+        .interior()
+        .iter()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// Every entry of a checkpoint directory as (name, bytes), sorted by
+/// name; a directory entry reads as `None`. No `*.tmp` may remain.
+fn dir_entries(dir: &Path) -> Vec<(String, Option<Vec<u8>>)> {
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_str().unwrap().to_string();
+            assert!(!name.ends_with(".tmp"), "temp file left behind: {name}");
+            (name, std::fs::read(&path).ok())
+        })
+        .collect();
+    entries.sort();
+    entries
+}
+
+/// `dir` holds exactly the checkpoints of `job` at `steps`, each durable:
+/// it loads and re-encodes to its own bytes.
+fn assert_durable_checkpoints(dir: &Path, job: &str, steps: &[u64]) {
+    let names: Vec<String> = steps
+        .iter()
+        .map(|&s| Checkpoint::file_name(job, s))
+        .collect();
+    let entries = dir_entries(dir);
+    assert_eq!(
+        entries.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+        names
+    );
+    for (name, bytes) in entries {
+        let ck = Checkpoint::load(&dir.join(&name)).unwrap();
+        assert_eq!(
+            Some(ck.encode().into_bytes()),
+            bytes,
+            "{name} does not re-encode to its own bytes"
+        );
+    }
+}
+
+/// A checkpoint whose file name is taken by a non-empty directory cannot
+/// be written (as root too). The job stops with that write's error
+/// instead of returning, writes no later checkpoint, leaves no temp file,
+/// and resumes bit-exactly once the blocker is gone. Blocking the last
+/// checkpoint shows that a job never returns `Ok` before its final write
+/// is durable.
+#[test]
+fn blocked_checkpoint_write_stops_the_job() {
+    let config = |dir: &Path| RuntimeConfig {
+        checkpoint_every: 2,
+        checkpoint_dir: Some(dir.to_path_buf()),
+        ..RuntimeConfig::default()
+    };
+    let variant = VariantConfig::conv_stencil();
+    let dir_full = tmp_dir("blocked_full");
+    let full = run_job(config(&dir_full), payload2d(variant, false), STEPS);
+    for blocked_step in [4, STEPS] {
+        let dir = tmp_dir(&format!("blocked_at_{blocked_step}"));
+        let blocker = dir.join(Checkpoint::file_name("chaos", blocked_step));
+        std::fs::create_dir_all(&blocker).unwrap();
+        std::fs::write(blocker.join("x"), b"blocker").unwrap();
+
+        let mut rt = Runtime::new(config(&dir));
+        rt.submit(Job {
+            name: "chaos".to_string(),
+            payload: payload2d(variant, false),
+            steps: STEPS,
+        })
+        .unwrap();
+        match rt.run_next().unwrap() {
+            Err(ConvStencilError::ArtifactWrite { path, .. }) => {
+                assert_eq!(path, blocker.display().to_string())
+            }
+            other => panic!("expected ArtifactWrite at step {blocked_step}, got {other:?}"),
+        }
+        let mut left: Vec<String> = (2..blocked_step)
+            .step_by(2)
+            .map(|s| Checkpoint::file_name("chaos", s))
+            .collect();
+        left.push(Checkpoint::file_name("chaos", blocked_step));
+        let entries = dir_entries(&dir);
+        assert_eq!(
+            entries.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+            left,
+            "blocked at step {blocked_step}"
+        );
+        assert_eq!(std::fs::read_dir(&blocker).unwrap().count(), 1);
+
+        std::fs::remove_dir_all(&blocker).unwrap();
+        let (resumed, warnings) = Runtime::new(config(&dir)).resume(Some("chaos")).unwrap();
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(resumed.report.resumed_from_step, Some(blocked_step - 2));
+        assert_eq!(interior_bits(&full), interior_bits(&resumed));
+        assert_eq!(counters_of(&full), counters_of(&resumed));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&dir_full);
+}
+
+/// However a job returns — completed, halted at the test hook, or cut by
+/// the cost deadline — every checkpoint it counted is durable when it
+/// returns (it loads and re-encodes to its own bytes), no temp file
+/// remains, and two identical jobs write byte-identical file sets.
+#[test]
+fn every_return_path_leaves_durable_deterministic_checkpoints() {
+    let hang = || Some(FaultPlan::quiet(13).with_hang_at(0, 1_000_000_000_000_000));
+    // (tag, halt hook, cost budget, device 0's faults, checkpoints written)
+    let cases = [
+        ("completed", None, None, None, vec![2, 4, 6]),
+        ("halted", Some(2), None, None, vec![2, 4]),
+        ("deadline", None, Some(10_000), hang(), vec![2]),
+    ];
+    for (tag, halt, cost_budget_ms, fault, want) in cases {
+        let mut file_sets = Vec::new();
+        for copy in 0..2 {
+            let dir = tmp_dir(&format!("durable_{tag}_{copy}"));
+            let mut rt = Runtime::new(RuntimeConfig {
+                device_faults: vec![fault],
+                checkpoint_every: 2,
+                checkpoint_dir: Some(dir.clone()),
+                cost_budget_ms,
+                halt_after_checkpoints: halt,
+                ..RuntimeConfig::default()
+            });
+            rt.submit(Job {
+                name: "chaos".to_string(),
+                payload: payload2d(VariantConfig::conv_stencil(), false),
+                steps: STEPS,
+            })
+            .unwrap();
+            let written: Vec<u64> = match rt.run_next().unwrap() {
+                Ok(outcome) => {
+                    assert_eq!(outcome.halted, halt.is_some(), "{tag}");
+                    outcome
+                        .report
+                        .events
+                        .iter()
+                        .filter_map(|e| match e {
+                            JobEvent::CheckpointWritten { step } => Some(*step),
+                            _ => None,
+                        })
+                        .collect()
+                }
+                Err(ConvStencilError::DeadlineExceeded {
+                    completed_steps, ..
+                }) if tag == "deadline" => (2..=completed_steps).step_by(2).collect(),
+                Err(e) => panic!("{tag}: {e}"),
+            };
+            assert_eq!(written, want, "{tag}");
+            assert_durable_checkpoints(&dir, "chaos", &written);
+            file_sets.push(dir_entries(&dir));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert_eq!(file_sets[0], file_sets[1], "{tag}: file sets differ");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Checkpoint durability properties
 // ---------------------------------------------------------------------------
